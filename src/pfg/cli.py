@@ -89,7 +89,7 @@ def main(argv: list[str] | None = None) -> int:
         try:
             resolved = validate(result.spec, base_dir=Path(args.file).parent, order_guard=args.order_guard)
         except ScenarioError as exc:
-            print(f"{exc.kind}: {exc} (at line {exc.line})", file=sys.stderr)
+            print(exc, file=sys.stderr)
             return 2
         resolved = type(resolved)(Path(args.file).stem, resolved.environment, resolved.analyses, resolved.options)
         jobs = resolved.options.get("jobs", args.jobs)

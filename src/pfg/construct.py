@@ -77,10 +77,8 @@ def direct_product(
     """A x B with pair encoding (a, b) -> a*|B| + b."""
     na, nb = A.order, B.order
     _guard(na * nb, order_guard)
-    ax, bx = np.divmod(np.arange(na * nb, dtype=np.int32), nb)
-    ta = A.table[np.ix_(ax, ax)]
-    tb = B.table[np.ix_(bx, bx)]
-    table = ta * nb + tb
+    # grid axes (a1, b1, a2, b2): (a1*a2) * nb + b1*b2
+    table = (A.table[:, None, :, None] * nb + B.table[None, :, None, :]).reshape(na * nb, na * nb)
     return FiniteGroup(table, label or f"{A.label}x{B.label}", order_guard=order_guard)
 
 
@@ -96,22 +94,31 @@ ActionTable = np.ndarray  # shape (|H|, |N|): action[h] is a permutation of N
 
 
 def _validate_action(N: FiniteGroup, H: FiniteGroup, act: ActionTable) -> None:
+    """Each act[h] is an automorphism of N and h -> act[h] is a homomorphism.
+
+    Both laws are checked on generators only (of N and of H respectively),
+    which proves them everywhere by the argument of ``GroupHom``.
+    """
     nh, nn = H.order, N.order
     if act.shape != (nh, nn):
         raise BadAction(f"action table has shape {act.shape}, expected ({nh}, {nn})")
     if act.min() < 0 or act.max() >= nn:
         raise ParamOutOfRange("action image out of range")
-    for h in range(nh):
-        p = act[h]
-        if np.unique(p).size != nn or p[0] != 0:
-            raise BadAction(f"action of element {h} is not a bijection fixing the identity")
-        if not np.array_equal(p[N.table], N.table[p[:, None], p[None, :]]):
-            raise BadAction(f"action of element {h} is not an automorphism")
-    # homomorphism into Aut(N): act[h1*h2] = act[h1] after act[h2]
-    for h1 in range(nh):
-        for h2 in range(nh):
-            if not np.array_equal(act[H.table[h1, h2]], act[h1][act[h2]]):
-                raise BadAction(f"action is not a homomorphism at pair ({h1}, {h2})")
+    not_bijective = (np.sort(act, axis=1) != np.arange(nn)).any(axis=1) | (act[:, 0] != 0)
+    not_auto = np.zeros(nh, dtype=bool)
+    for g in N.generators():
+        not_auto |= (act[:, N.table[:, g]] != N.table[act, act[:, g, None]]).any(axis=1)
+    bad = np.flatnonzero(not_bijective | not_auto)
+    if bad.size:
+        h = int(bad[0])
+        kind = "a bijection fixing the identity" if not_bijective[h] else "an automorphism"
+        raise BadAction(f"action of element {h} is not {kind}")
+    # homomorphism into Aut(N): act[x*g] = act[x] after act[g]
+    for g in H.generators() or [0]:
+        bad = np.flatnonzero((act[H.table[:, g]] != act[:, act[g]]).any(axis=1))
+        if bad.size:
+            x = int(bad[0])
+            raise BadAction(f"action is not a homomorphism at pair ({x}, {g})", (x, g))
 
 
 def trivial_action(N: FiniteGroup, H: FiniteGroup) -> ActionTable:
@@ -176,11 +183,9 @@ def semidirect(
     _guard(nn * nh, order_guard)
     act = action(N, H) if callable(action) else np.asarray(action, dtype=np.int32)
     _validate_action(N, H, act)
-    ax, hx = np.divmod(np.arange(nn * nh, dtype=np.int32), nh)
-    moved = act[hx[:, None], ax[None, :]]          # act_{h1}(a2)
-    ta = N.table[ax[:, None], moved]               # a1 * act_{h1}(a2)
-    th = H.table[np.ix_(hx, hx)]
-    table = ta * nh + th
+    # grid axes (a1, h1, a2, h2): (a1 * act_{h1}(a2)) * nh + h1*h2
+    ta = N.table[:, act] * nh
+    table = (ta[:, :, :, None] + H.table[None, :, None, :]).reshape(nn * nh, nn * nh)
     G = FiniteGroup(table, label or f"{N.label}:{H.label}", order_guard=order_guard)
     normal = Subgroup(G, np.arange(nn, dtype=np.int32) * nh, _checked=True)
     acting = Subgroup(G, np.arange(nh, dtype=np.int32), _checked=True)

@@ -87,7 +87,7 @@ class ScenarioError(GroupError):
         self.kind = kind
         self.line = line
         self.column = column
-        super().__init__(f"{kind}: {message} (line {line})")
+        super().__init__(f"{kind}: {message} (line {line}, column {column})")
 
 
 # ---------------------------------------------------------------- tokenizer

@@ -169,18 +169,20 @@ def contraction(f: GroupHom) -> ContractionReport:
     )
 
 
-def verify_theorem_a(G: FiniteGroup, f: GroupHom) -> CheckRecord:
+def verify_theorem_a(G: FiniteGroup, f: GroupHom, rep: ContractionReport | None = None) -> CheckRecord:
     """Exact decomposition checks for a single endomorphism.
 
     Asserts: the contraction subgroup is normal, meets the stable image
     trivially, the two together cover the group, the map restricts to an
     automorphism of the stable image, and f^k(con) = con n im(f^k) for every
-    k up to the stabilization depth.
+    k up to the stabilization depth.  ``rep`` is f's contraction report when
+    the caller already has it.
     """
     require_endo(f)
     if f.domain is not G:
         raise DomainMismatch("endomorphism does not act on the given group")
-    rep = contraction(f)
+    if rep is None:
+        rep = contraction(f)
     con, stable = rep.con, rep.stable_image
     checks: list[Check] = []
 
@@ -258,7 +260,7 @@ class EndoSemigroup:
         """Composite of all generators (order irrelevant when commutative)."""
         return reduce(lambda a, g: g.map[a], self.generators, np.arange(self.parent.order, dtype=np.int32))
 
-    def monoid_maps(self, cap: int = 4096, include_identity: bool = False) -> list[np.ndarray]:
+    def monoid_maps(self, cap: int = 4096) -> list[np.ndarray]:
         """All distinct maps in the generated transformation semigroup."""
         gens = [g.map for g in self.generators]
         seen: dict[bytes, np.ndarray] = {}
@@ -278,12 +280,7 @@ class EndoSemigroup:
                         raise SearchBudgetExceeded(f"transformation semigroup exceeds {cap} maps")
                     seen[key] = c
                     queue.append(c)
-        maps = list(seen.values())
-        if include_identity:
-            ident = np.arange(self.parent.order, dtype=np.int32)
-            if ident.tobytes() not in seen:
-                maps.append(ident)
-        return maps
+        return list(seen.values())
 
     def __repr__(self) -> str:
         tag = "commutative" if self.commutative else "non-commutative"
@@ -472,19 +469,25 @@ class OLambdaReport:
     subgroup: Subgroup
     nilpotent: bool
     nilpotency_class: int | None
+    maps: tuple[np.ndarray, ...] = field(repr=False, compare=False)  # the semigroup's distinct maps
 
 
 def o_lambda(G: FiniteGroup, S: EndoSemigroup, *, map_cap: int = 4096) -> OLambdaReport:
-    """Closure of the union of the contraction subgroups over the monoid."""
+    """Closure of the union of the contraction subgroups over the monoid.
+
+    The monoid's identity map is left out: its stable kernel is trivial and
+    every other stable kernel already contains the identity element.
+    """
     if S.parent is not G:
         raise DomainMismatch("semigroup does not act on the given group")
+    maps = S.monoid_maps(cap=map_cap)
     union = np.zeros(G.order, dtype=bool)
-    for arr in S.monoid_maps(cap=map_cap, include_identity=True):
+    for arr in maps:
         union |= _stable_kernel(arr)
     sub = Subgroup(G, _orbit_closure(G.table, np.flatnonzero(union)), _checked=True)
     sub_group, _ = subgroup_as_group(G, sub)
     nil = nilpotency(sub_group)
-    return OLambdaReport(sub, nil.is_nilpotent, nil.nilpotency_class)
+    return OLambdaReport(sub, nil.is_nilpotent, nil.nilpotency_class, tuple(maps))
 
 
 def shrinkind_check(G: FiniteGroup, f: GroupHom, K: Subgroup) -> CheckRecord:

@@ -321,7 +321,7 @@ def levelwise_contraction(T: Tower, F: CoherentEndoFamily) -> TowerReport:
     """Contraction and decomposition checks at every level, plus cross-level
     coherence of the contraction subgroups and stable images."""
     reports = [contraction(f) for f in F.endos]
-    records = [verify_theorem_a(G, f) for G, f in zip(T.levels, F.endos)]
+    records = [verify_theorem_a(G, f, rep) for G, f, rep in zip(T.levels, F.endos, reports)]
     coherence = []
     for k, pi in enumerate(T.connecting):
         upper, lower = reports[k + 1], reports[k]
@@ -381,11 +381,7 @@ def verify_theorem_b_tower(T: Tower, families) -> TheoremBReport:
     part_i_ok = all(r.nilpotent for r in part_i)
 
     # part (ii): some semigroup element's image is trivial at every level
-    applicable = True
-    for S in semigroups:
-        if not any(np.unique(m).size == 1 for m in S.monoid_maps(cap=4096)):
-            applicable = False
-            break
+    applicable = all(any(np.unique(m).size == 1 for m in r.maps) for r in part_i)
     part_ii_ok: bool | None = None
     if applicable:
         part_ii_ok = all(r.subgroup.is_whole for r in part_i)

@@ -10,7 +10,9 @@ from pfg.construct import (
     cyclic,
     dihedral,
     inversion_action,
+    scale_first_map,
     semidirect,
+    unit_semidirect_level,
     units_mod,
 )
 from pfg.core import (
@@ -70,6 +72,38 @@ class TestBuildFromTable:
         a, b, c = exc.value.triple
         t = table
         assert t[t[a][b]][c] != t[a][t[b][c]]
+
+    @pytest.mark.parametrize(
+        "group, cell",
+        [
+            (lambda: unit_semidirect_level(3, 2).group, (20, 33)),  # order 54
+            (lambda: unit_semidirect_level(2, 5).group, (300, 401)),  # order 512
+            (lambda: cyclic(1000), (999, 999)),
+        ],
+        ids=["order54", "order512", "order1000"],
+    )
+    def test_corrupted_entry_below_and_above_512(self, group, cell):
+        t = group().table.copy()
+        a, b = cell
+        assert t[a, b] not in (0, 1)
+        t[a, b] = 1  # keeps the identity and every inverse in place
+        with pytest.raises(NotAssociative) as exc:
+            build_from_table(t)
+        x, y, z = exc.value.triple
+        assert t[t[x, y], z] != t[x, t[y, z]]
+
+    def test_loop_rejected_when_only_a_later_generator_fails(self):
+        # Q is the non-associative loop of order 5; in Q x Z3, encoded q*3 + a,
+        # the first greedy generator (e, 1) lies in the nucleus and associates
+        # with everything, so only the next generator (1, 0) exposes the loop
+        Q = np.array([[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]])
+        z3 = np.add.outer(np.arange(3), np.arange(3)) % 3
+        t = (Q[:, None, :, None] * 3 + z3[None, :, None, :]).reshape(15, 15)
+        with pytest.raises(NotAssociative) as exc:
+            build_from_table(t)
+        x, y, z = exc.value.triple
+        assert y != 1
+        assert t[t[x, y], z] != t[x, t[y, z]]
 
     def test_identity_relabelled_to_zero(self):
         # shift Z/3 so the identity sits at index 1
@@ -131,6 +165,19 @@ class TestCatalogConstruct:
         # oracle: count integers below 9 coprime to 9
         assert G.order == len([r for r in range(1, 9) if r % 3 != 0]) == 6
         assert G.is_abelian()
+
+    def test_bad_action_witness_really_fails(self):
+        N, H = cyclic(4), cyclic(3)
+        with pytest.raises(BadAction) as exc:
+            semidirect(N, H, inversion_action)
+        x, g = exc.value.witness
+        act = inversion_action(N, H)
+        assert not np.array_equal(act[H.table[x, g]], act[x][act[g]])
+
+    def test_trivial_acting_group_must_act_trivially(self):
+        with pytest.raises(BadAction) as exc:
+            semidirect(cyclic(3), cyclic(1), np.array([[0, 2, 1]]))
+        assert exc.value.witness == (0, 0)
 
     def test_bad_action_rejected(self):
         broken = np.zeros((2, 3), dtype=np.int32)  # constant maps are no automorphisms
@@ -265,6 +312,23 @@ class TestHoms:
         G = cyclic(4)
         with pytest.raises(NotAHomomorphism):
             GroupHom(G, G, [0, 1, 3, 2])
+
+    def test_hom_witness_really_fails(self):
+        sd = unit_semidirect_level(3, 2)
+        G = sd.group
+        good = scale_first_map(sd, 3)
+        GroupHom(G, G, good)
+        rng = np.random.default_rng(7)
+        for bad in (good[rng.permutation(G.order)], np.where(np.arange(G.order) == 17, good[18], good)):
+            with pytest.raises(NotAHomomorphism) as exc:
+                GroupHom(G, G, bad)
+            x, y = exc.value.witness
+            assert bad[G.table[x, y]] != G.table[bad[x], bad[y]]
+
+    def test_trivial_domain_must_hit_identity(self):
+        with pytest.raises(NotAHomomorphism) as exc:
+            GroupHom(cyclic(1), cyclic(2), [1])
+        assert exc.value.witness == (0, 0)
 
     def test_compose_identity(self):
         G = s3_group()

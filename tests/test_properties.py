@@ -5,7 +5,9 @@ from hypothesis import given, settings, strategies as st
 
 from pfg.catalog import builtin_entries, random_endo, random_subgroup
 from pfg.core import (
-    _scan_associativity_full,
+    FiniteGroup,
+    GroupError,
+    NotAssociative,
     closure,
     hom_parts,
     is_normal,
@@ -14,7 +16,19 @@ from pfg.core import (
     subgroup_as_group,
 )
 from pfg.endo import contraction, shrinkind_check
-from pfg.lattice import enumerate_normals, o_pi, is_pi_number, residual_intersection, AutoSet
+from pfg.lattice import all_subgroups, enumerate_normals, o_pi, is_pi_number, residual_intersection, AutoSet
+
+
+def _scan_associativity_full(table: np.ndarray) -> None:
+    """Oracle: compare (a*b)*c with a*(b*c) on every triple, one row of a at a time."""
+    n = table.shape[0]
+    for a in range(n):
+        left = table[table[a], :]
+        right = table[a, table]
+        if not np.array_equal(left, right):
+            b, c = np.argwhere(left != right)[0]
+            raise NotAssociative(a, int(b), int(c))
+
 
 ENTRIES = [e for e in builtin_entries(100)]
 entry_st = st.integers(min_value=0, max_value=len(ENTRIES) - 1).map(lambda i: ENTRIES[i])
@@ -135,3 +149,31 @@ def test_identity_and_inverse_laws_hold_everywhere():
         idx = np.arange(n)
         assert np.array_equal(G.table[0], idx) and np.array_equal(G.table[:, 0], idx)
         assert np.array_equal(G.table[idx, G.inv], np.zeros(n, dtype=G.table.dtype))
+
+
+@settings(max_examples=200, deadline=None)
+@given(entry=entry_st, data=st.data())
+def test_one_corrupted_entry_accepted_only_if_oracle_accepts(entry, data):
+    t = entry.group.table.copy()
+    n = t.shape[0]
+    a, b, v = (data.draw(st.integers(0, n - 1)) for _ in range(3))
+    t[a, b] = v
+    try:
+        FiniteGroup(t)
+    except NotAssociative as exc:
+        x, y, z = exc.triple
+        assert t[t[x, y], z] != t[x, t[y, z]]
+    except GroupError:
+        pass
+    else:
+        _scan_associativity_full(t)
+
+
+def test_is_normal_matches_conjugation_by_every_element():
+    for entry in builtin_entries(60):
+        G = entry.group
+        catalog = all_subgroups(G)
+        assert catalog.complete
+        for S in catalog.entries:
+            conj = G.table[G.table[:, S.members], G.inv[:, None]]
+            assert is_normal(G, S) == bool(S.bools[conj].all()), (G, S)

@@ -111,6 +111,14 @@ class TestCli:
         err = capsys.readouterr().err
         assert "line 1" in err
 
+    def test_order_guard_reported_once_with_location(self, tmp_path, capsys):
+        f = tmp_path / "big.pfg"
+        f.write_text("group G = cyclic(6000)\n")
+        assert main(["run", str(f)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("OrderGuard") == 1
+        assert "(line 1, column 1)" in err
+
     def test_json_output_file(self, tmp_path):
         f = tmp_path / "ok.pfg"
         f.write_text("group G = cyclic(4)\nendo f on G = scale_first(2)\nanalyze contraction(G, f)\n")
