@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 from .core import (
     FiniteGroup,
     GroupHom,
-    Endomorphism,
     Subgroup,
     build_from_table,
     closure,
@@ -22,7 +21,7 @@ from .core import (
     quotient,
     subgroup_algebra,
 )
-from .construct import catalog_construct, cyclic, dihedral, direct_product, semidirect, units_mod
+from .construct import cyclic, dihedral, direct_product, semidirect, units_mod
 from .lattice import (
     AutoSet,
     SubgroupCatalog,
@@ -49,7 +48,6 @@ from .endo import (
 from .tower import (
     CoherentEndoFamily,
     Tower,
-    analyze_tower,
     build_tower,
     levelwise_contraction,
     limit_diagnostics,

@@ -82,14 +82,6 @@ def direct_product(
     return FiniteGroup(table, label or f"{A.label}x{B.label}", order_guard=order_guard)
 
 
-def pair_index(a: int, b: int, right_order: int) -> int:
-    return a * right_order + b
-
-
-def pair_split(x: int, right_order: int) -> tuple[int, int]:
-    return divmod(x, right_order)
-
-
 ActionTable = np.ndarray  # shape (|H|, |N|): action[h] is a permutation of N
 
 
@@ -221,23 +213,6 @@ def scale_first_map(sd_or_group, m: int, right_order: int | None = None) -> np.n
         nn = G.order // nh
     a, h = np.divmod(np.arange(G.order, dtype=np.int32), nh)
     return ((a.astype(np.int64) * m) % nn).astype(np.int32) * nh + h
-
-
-def catalog_construct(kind: str, params: tuple, *, order_guard: int | None = None) -> FiniteGroup:
-    """Uniform constructor front-end: cyclic, units_mod, direct_product, semidirect."""
-    if kind == "cyclic":
-        (n,) = params
-        return cyclic(int(n), order_guard=order_guard)
-    if kind == "units_mod":
-        p, k = params
-        return units_mod(int(p), int(k), order_guard=order_guard)
-    if kind == "direct_product":
-        A, B = params
-        return direct_product(A, B, order_guard=order_guard)
-    if kind == "semidirect":
-        N, H, action = params
-        return semidirect(N, H, action, order_guard=order_guard).group
-    raise ParamOutOfRange(f"unknown constructor kind {kind!r}")
 
 
 def load_table_file(path) -> np.ndarray:

@@ -192,13 +192,6 @@ class FiniteGroup:
     def inv_of(self, a: int) -> int:
         return int(self.inv[a])
 
-    def elements(self) -> range:
-        return range(self.order)
-
-    def conjugate(self, g: int, x: int) -> int:
-        """g * x * g^-1."""
-        return int(self.table[self.table[g, x], self.inv[g]])
-
     def element_orders(self) -> np.ndarray:
         if self._element_orders is None:
             n = self.order
@@ -237,14 +230,9 @@ def build_from_table(table, label: str = "G", *, order_guard: int | None = None)
 
 
 class Subgroup:
-    """A subgroup of a parent group stored as a membership mask.
+    """A subgroup of a parent group stored as a boolean membership array."""
 
-    Membership is kept as a boolean array internally; ``mask`` exposes the
-    same information as a single bit-packed integer (bit i set iff element i
-    belongs).  Word-sized meets and equality tests come for free that way.
-    """
-
-    __slots__ = ("parent", "size", "_bools", "_mask", "_members")
+    __slots__ = ("parent", "size", "_bools", "_members")
 
     def __init__(self, parent: FiniteGroup, members, *, _checked: bool = False):
         n = parent.order
@@ -265,7 +253,6 @@ class Subgroup:
         self.parent = parent
         self._bools = bools
         self.size = int(bools.sum())
-        self._mask: int | None = None
         self._members: np.ndarray | None = None
 
     @staticmethod
@@ -289,12 +276,6 @@ class Subgroup:
             m.setflags(write=False)
             self._members = m
         return self._members
-
-    @property
-    def mask(self) -> int:
-        if self._mask is None:
-            self._mask = sum(1 << int(i) for i in np.flatnonzero(self._bools))
-        return self._mask
 
     @property
     def index(self) -> int:
@@ -450,10 +431,6 @@ class GroupHom:
 
     def __repr__(self) -> str:
         return f"GroupHom({self.domain.label!r} -> {self.codomain.label!r})"
-
-
-# an endomorphism is simply a GroupHom whose domain and codomain coincide
-Endomorphism = GroupHom
 
 
 def require_endo(f: GroupHom) -> None:

@@ -18,8 +18,10 @@ Grammar (one statement per line, ``#`` starts a comment, files use ``.pfg``):
     elem   := INT | ( elem, elem )          # pair encoding, left-major
     args   := NAME | INT | {INT|NAME, ...} | [elem, ...]
 
-Analyses: theorem_a, splitthm, theorem_b, regulation, tfrelstab2,
-shrinkind, o_pi, fewprimes, hom_search, typef, contraction.
+Analyses (argument kinds in ``report.ANALYSES``): contraction, theorem_a,
+splitthm, theorem_b, regulation, tfrelstab2, shrinkind, o_pi, fewprimes,
+hom_search, typef.
+
 Builders: zp, zpn, units_semidirect, product, s3_times_z2.
 """
 
@@ -48,22 +50,9 @@ from .core import (
     build_from_table,
 )
 from .endo import EndoSemigroup
+from .report import ANALYSES
 from .tower import build_tower
 
-# allowed argument counts; theorem_a and contraction also take a bare tower
-ANALYSES = {
-    "theorem_a": (1, 2),
-    "splitthm": (2,),
-    "theorem_b": (1,),
-    "regulation": (3,),
-    "tfrelstab2": (3,),
-    "shrinkind": (3,),
-    "o_pi": (2,),
-    "fewprimes": (2,),
-    "hom_search": (2,),
-    "typef": (2,),
-    "contraction": (1, 2),
-}
 BUILDERS = {"zp", "zpn", "units_semidirect", "product", "s3_times_z2"}
 OPTION_KEYS = {"order_guard", "node_budget", "jobs", "seed"}
 
@@ -800,7 +789,11 @@ class _GroupShape:
         return a * self.right.order + b
 
 
-def _build_gexpr(expr, env: dict, base_dir: Path, guard: int | None, stmt: Stmt):
+def _group_of(obj) -> FiniteGroup:
+    return obj.group if isinstance(obj, SemidirectProduct) else obj
+
+
+def _build_gexpr(expr, lookup, base_dir: Path, guard: int | None, stmt: Stmt):
     """Returns (FiniteGroup or SemidirectProduct, shape)."""
     if isinstance(expr, GCyclic):
         g = construct.cyclic(expr.n, order_guard=guard)
@@ -813,15 +806,14 @@ def _build_gexpr(expr, env: dict, base_dir: Path, guard: int | None, stmt: Stmt)
         g = build_from_table(table, expr.path, order_guard=guard)
         return g, _GroupShape(g.order)
     if isinstance(expr, GProduct):
-        a, sa = _lookup_group(env, expr.left, stmt)
-        b, sb = _lookup_group(env, expr.right, stmt)
-        g = construct.direct_product(a, b, order_guard=guard)
+        a, sa = lookup(expr.left, stmt, "group")
+        b, sb = lookup(expr.right, stmt, "group")
+        g = construct.direct_product(_group_of(a), _group_of(b), order_guard=guard)
         return g, _GroupShape(g.order, sa, sb)
     if isinstance(expr, GSemidirect):
-        n_obj, ns = _build_gexpr(expr.normal, env, base_dir, guard, stmt)
-        h_obj, hs = _build_gexpr(expr.acting, env, base_dir, guard, stmt)
-        n_grp = n_obj.group if isinstance(n_obj, SemidirectProduct) else n_obj
-        h_grp = h_obj.group if isinstance(h_obj, SemidirectProduct) else h_obj
+        n_obj, ns = _build_gexpr(expr.normal, lookup, base_dir, guard, stmt)
+        h_obj, hs = _build_gexpr(expr.acting, lookup, base_dir, guard, stmt)
+        n_grp, h_grp = _group_of(n_obj), _group_of(h_obj)
         action = _build_action(expr.action, n_grp, h_grp, ns, hs, stmt)
         sd = construct.semidirect(n_grp, h_grp, action, order_guard=guard)
         return sd, _GroupShape(sd.group.order, ns, hs)
@@ -934,19 +926,8 @@ def _expand_hom(G: FiniteGroup, H: FiniteGroup, pairs: list[tuple[int, int]], st
     return img
 
 
-def _lookup_group(env: dict, name: str, stmt: Stmt):
-    if name not in env:
-        raise ScenarioError("NameUnresolved", f"undefined name {name!r}", stmt.line, stmt.column)
-    obj, shape = env[name]
-    if isinstance(obj, SemidirectProduct):
-        return obj.group, shape
-    if isinstance(obj, FiniteGroup):
-        return obj, shape
-    raise ScenarioError("NameUnresolved", f"{name!r} is not a group", stmt.line, stmt.column)
-
-
 def _build_hexpr(expr, target, shape: _GroupShape, stmt: Stmt) -> GroupHom:
-    G = target.group if isinstance(target, SemidirectProduct) else target
+    G = _group_of(target)
     if isinstance(expr, HBuiltin):
         if expr.name == "identity":
             return GroupHom(G, G, np.arange(G.order, dtype=np.int32), validate=False)
@@ -987,8 +968,80 @@ def _build_hexpr(expr, target, shape: _GroupShape, stmt: Stmt) -> GroupHom:
     raise ScenarioError("NameUnresolved", f"bad endomorphism expression {expr!r}", stmt.line, stmt.column)
 
 
+def _kind_of(obj) -> str:
+    """The argument kind of a defined object."""
+    if isinstance(obj, GroupHom):
+        return "endo"
+    if isinstance(obj, EndoSemigroup):
+        return "semigroup"
+    if isinstance(obj, tuple):
+        return "tower"
+    return "group"
+
+
+def _resolve_arg(arg, where: Analyze, lookup) -> tuple:
+    """(kind, object, shape, argument) of one analysis argument; literals
+    have the kinds int, set and list."""
+    if isinstance(arg, ARef):
+        obj, shape = lookup(arg.name, where)
+        return _kind_of(obj), obj, shape, arg
+    if isinstance(arg, ASet):
+        return "set", tuple(lookup(i, where)[0] if isinstance(i, str) else i for i in arg.items), None, arg
+    if isinstance(arg, AInt):
+        return "int", arg.value, None, arg
+    return "list", arg.elems, None, arg
+
+
+def _fit(signature: tuple[str, ...], values: list, an: Analyze) -> tuple | None:
+    """Coerce resolved arguments to one signature of ``report.AnalysisSpec``;
+    None when an argument is not of the kind asked for.  An argument that
+    belongs to another group than the first group argument is an error."""
+    home = None  # (group, shape, name) of the first group argument
+    out: list = []
+
+    def same_group(G: FiniteGroup, name: str) -> None:
+        if home is not None and G is not home[0]:
+            raise ScenarioError("GroupMismatch", f"{name!r} is not defined on group {home[2]!r}", an.line, an.column)
+
+    for want, (got, obj, shape, arg) in zip(signature, values):
+        if want in ("group", "semidirect"):
+            if got != "group" or (want == "semidirect" and not isinstance(obj, SemidirectProduct)):
+                return None
+            value = obj if want == "semidirect" else _group_of(obj)
+            home = home or (_group_of(obj), shape, arg.name)
+        elif want in ("endo", "semigroup"):
+            if got != "endo" and got != want:
+                return None
+            G = obj.domain if got == "endo" else obj.parent
+            same_group(G, arg.name)
+            value = EndoSemigroup(G, [obj]) if got != want else obj
+        elif want == "autos":
+            if got != "set" or not all(isinstance(x, GroupHom) for x in obj):
+                return None
+            for name, f in zip(arg.items, obj):
+                same_group(f.domain, name)
+            value = obj
+        elif want == "primes":
+            if got != "set" or not all(isinstance(x, int) for x in obj):
+                return None
+            value = set(obj)
+        elif want == "subgroup":
+            if got != "list":
+                return None
+            G, group_shape, _name = home
+            value = closure(G, [group_shape.index_of(e, an) for e in obj])
+        else:  # tower, int
+            if got != want:
+                return None
+            value = obj
+        out.append(value)
+    return tuple(out)
+
+
 def validate(spec: ScenarioSpec, *, base_dir: str | Path = ".", order_guard: int | None = None) -> ResolvedScenario:
-    """Construct every named object and resolve every analysis request."""
+    """Construct every named object and coerce the arguments of every
+    analysis request to a signature in ``report.ANALYSES``; an argument of
+    the wrong kind or group is a ``ScenarioError`` located at its statement."""
     base = Path(base_dir)
     guard = spec.options.get("order_guard", order_guard)
     env: dict = {}
@@ -1000,7 +1053,9 @@ def validate(spec: ScenarioSpec, *, base_dir: str | Path = ".", order_guard: int
         env[name] = value
         defined_at[name] = stmt.line
 
-    def lookup(name: str, where) -> object:
+    def lookup(name: str, where, kind: str | None = None) -> tuple:
+        """The (object, shape) entry of a name defined before ``where``,
+        whose object must be of ``kind`` when one is given."""
         if name not in env:
             raise ScenarioError("NameUnresolved", f"undefined name {name!r}", where.line, where.column)
         if defined_at[name] > where.line:
@@ -1010,29 +1065,29 @@ def validate(spec: ScenarioSpec, *, base_dir: str | Path = ".", order_guard: int
                 where.line,
                 where.column,
             )
-        return env[name][0]
+        entry = env[name]
+        got = _kind_of(entry[0])
+        if kind is not None and got != kind:
+            raise ScenarioError("ArgumentKind", f"{name!r} is of kind {got}, expected {kind}", where.line, where.column)
+        return entry
 
     for stmt in spec.definitions:
         try:
             if isinstance(stmt, GroupDef):
-                obj, shape = _build_gexpr(stmt.expr, env, base, guard, stmt)
+                obj, shape = _build_gexpr(stmt.expr, lookup, base, guard, stmt)
                 define(stmt.name, (obj, shape), stmt)
             elif isinstance(stmt, EndoDef):
-                target, shape = env.get(stmt.group, (None, None))
-                if target is None:
-                    raise ScenarioError("NameUnresolved", f"undefined group {stmt.group!r}", stmt.line, stmt.column)
+                target, shape = lookup(stmt.group, stmt, "group")
                 hom = _build_hexpr(stmt.expr, target, shape, stmt)
                 define(stmt.name, (hom, None), stmt)
             elif isinstance(stmt, SemigroupDef):
-                target, _shape = env.get(stmt.group, (None, None))
-                if target is None:
-                    raise ScenarioError("NameUnresolved", f"undefined group {stmt.group!r}", stmt.line, stmt.column)
-                G = target.group if isinstance(target, SemidirectProduct) else target
+                G = _group_of(lookup(stmt.group, stmt, "group")[0])
                 gens = []
                 for m in stmt.members:
-                    if m not in env or not isinstance(env[m][0], GroupHom):
-                        raise ScenarioError("NameUnresolved", f"undefined endomorphism {m!r}", stmt.line, stmt.column)
-                    gens.append(env[m][0])
+                    f = lookup(m, stmt, "endo")[0]
+                    if f.domain is not G:
+                        raise ScenarioError("GroupMismatch", f"{m!r} is not defined on group {stmt.group!r}", stmt.line, stmt.column)
+                    gens.append(f)
                 sg = EndoSemigroup(G, gens)
                 if not sg.commutative:
                     i, j = sg._noncomm_witness
@@ -1044,74 +1099,25 @@ def validate(spec: ScenarioSpec, *, base_dir: str | Path = ".", order_guard: int
                     )
                 define(stmt.name, (sg, None), stmt)
             elif isinstance(stmt, TowerDef):
-                params: list = []
-                for p in stmt.params:
-                    if isinstance(p, str):
-                        if p not in env or not isinstance(env[p][0], tuple):
-                            raise ScenarioError("NameUnresolved", f"undefined tower {p!r}", stmt.line, stmt.column)
-                        params.append(env[p][0])
-                    else:
-                        params.append(p)
-                pair = build_tower(stmt.builder, tuple(params), stmt.depth, order_guard=guard)
+                params = tuple(lookup(p, stmt, "tower")[0] if isinstance(p, str) else p for p in stmt.params)
+                pair = build_tower(stmt.builder, params, stmt.depth, order_guard=guard)
                 define(stmt.name, (pair, None), stmt)
         except OrderGuardExceeded as exc:
             raise ScenarioError("OrderGuard", str(exc), stmt.line, stmt.column)
 
     analyses: list[ResolvedAnalysis] = []
     for an in spec.analyses:
-        expected = ANALYSES[an.kind]
-        if len(an.args) not in expected:
-            raise ScenarioError(
-                "NameUnresolved",
-                f"{an.kind} expects {' or '.join(map(str, expected))} arguments, got {len(an.args)}",
-                an.line,
-                an.column,
-            )
-        if len(an.args) == 1 and an.kind in ("theorem_a", "contraction"):
-            arg = an.args[0]
-            if not (isinstance(arg, ARef) and isinstance(env.get(arg.name, (None,))[0], tuple)):
-                raise ScenarioError(
-                    "NameUnresolved",
-                    f"single-argument {an.kind} needs a tower",
-                    an.line,
-                    an.column,
-                )
-        resolved: list = []
-        shapes: list = []
-        for arg in an.args:
-            if isinstance(arg, ARef):
-                lookup(arg.name, an)
-                obj, shape = env[arg.name]
-                resolved.append(obj)
-                shapes.append(shape)
-            elif isinstance(arg, ASet):
-                items = []
-                for item in arg.items:
-                    if isinstance(item, str):
-                        items.append(lookup(item, an))
-                    else:
-                        items.append(item)
-                resolved.append(ASet(tuple(items)))
-                shapes.append(None)
-            else:
-                resolved.append(arg)
-                shapes.append(None)
-        # element-list literals are subgroups of the first group argument
-        group_shape = next(
-            (s for obj, s in zip(resolved, shapes) if s is not None and isinstance(obj, (FiniteGroup, SemidirectProduct))),
-            None,
-        )
-        for i, arg in enumerate(resolved):
-            if isinstance(arg, AList):
-                holder = next(
-                    (o for o, s in zip(resolved, shapes) if s is not None), None
-                )
-                if group_shape is None or holder is None:
-                    raise ScenarioError("NameUnresolved", "element list needs a group argument", an.line, an.column)
-                G = holder.group if isinstance(holder, SemidirectProduct) else holder
-                idxs = [group_shape.index_of(e, an) for e in arg.elems]
-                resolved[i] = closure(G, idxs)
+        values = [_resolve_arg(arg, an, lookup) for arg in an.args]
+        signatures = ANALYSES[an.kind].signatures
+        for signature in signatures:
+            args = _fit(signature, values, an) if len(signature) == len(values) else None
+            if args is not None:
+                break
+        else:
+            forms = " or ".join(f"({', '.join(sig)})" for sig in signatures)
+            got = ", ".join(f"{kind} {_fmt_arg(arg)}" for kind, _obj, _shape, arg in values)
+            raise ScenarioError("ArgumentKind", f"{an.kind} takes {forms}, got ({got})", an.line, an.column)
         target = ", ".join(_fmt_arg(a) for a in an.args)
-        analyses.append(ResolvedAnalysis(an.kind, target, tuple(resolved), an.line))
+        analyses.append(ResolvedAnalysis(an.kind, target, args, an.line))
 
     return ResolvedScenario("scenario", env, tuple(analyses), dict(spec.options))

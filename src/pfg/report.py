@@ -1,7 +1,10 @@
 """Batch runner and report emitter for resolved scenarios.
 
-One record per requested analysis, in request order.  Statuses: pass,
-fail, skipped, hypotheses_not_met, budget_exceeded.  The JSON emitter is
+``ANALYSES`` is the one table of analysis kinds: the parser checks names
+against it, ``dsl.validate`` coerces arguments against its signatures and
+``run`` calls its runners.  Records come in request order, one per
+analysis (one per level for the level-wise tower analyses).  Statuses:
+pass, fail, skipped, hypotheses_not_met, budget_exceeded.  The JSON emitter is
 byte-stable for a fixed scenario, seed and version: per-record wall times
 are zeroed there by default and only shown in the text format.
 """
@@ -12,16 +15,15 @@ import json
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
 from . import __version__
-from .construct import SemidirectProduct
-from .core import FiniteGroup, GroupError, GroupHom, Subgroup, closure
-from .dsl import AInt, AList, ASet, ResolvedAnalysis, ResolvedScenario, ScenarioError
+from .core import FiniteGroup, GroupError, Subgroup
 from .endo import (
     CheckRecord,
-    EndoSemigroup,
+    ContractionReport,
     PreconditionPrimes,
     SearchBudgetExceeded,
     contraction,
@@ -34,13 +36,10 @@ from .endo import (
     verify_theorem_a,
 )
 from .lattice import AutoSet, o_pi
-from .tower import (
-    CoherentEndoFamily,
-    Tower,
-    levelwise_contraction,
-    typef_profile,
-    verify_theorem_b_tower,
-)
+from .tower import levelwise_contraction, typef_profile, verify_theorem_b_tower
+
+if TYPE_CHECKING:
+    from .dsl import ResolvedAnalysis, ResolvedScenario
 
 
 @dataclass(frozen=True)
@@ -86,270 +85,180 @@ def _json_safe(obj):
     return str(obj)
 
 
-def _record_from_checks(kind: str, target: str, rec: CheckRecord, ms: float) -> AnalysisRecord:
-    details = dict(rec.data)
+def _check_row(target: str, rec: CheckRecord, **extra) -> tuple[str, str, dict]:
+    details = dict(rec.data, **extra)
     details["checks"] = {c.name: c.passed for c in rec.checks}
     failed = rec.failed()
     if failed:
         details["witness"] = failed[0].detail or failed[0].name
-    return AnalysisRecord(kind, target, "pass" if rec.passed else "fail", _json_safe(details), ms)
+    return target, "pass" if rec.passed else "fail", details
 
 
-def _is_tower_pair(obj) -> bool:
-    return isinstance(obj, tuple) and len(obj) == 2 and isinstance(obj[0], Tower)
+def _contraction_row(target: str, rep: ContractionReport, **extra) -> tuple[str, str, dict]:
+    details = {
+        "con_order": rep.con.size,
+        "stable_order": rep.stable_image.size,
+        "depth": rep.depth,
+        "oracle": rep.checks,
+        **extra,
+    }
+    return target, "pass" if all(rep.checks.values()) else "fail", details
 
 
-def _as_group(obj) -> FiniteGroup:
-    if isinstance(obj, SemidirectProduct):
-        return obj.group
-    if isinstance(obj, FiniteGroup):
-        return obj
-    raise ScenarioError("NameUnresolved", f"expected a group, got {type(obj).__name__}")
-
-
-def _as_endo(obj) -> GroupHom:
-    if isinstance(obj, GroupHom):
-        return obj
-    raise ScenarioError("NameUnresolved", f"expected an endomorphism, got {type(obj).__name__}")
-
-
-def _as_semigroup(obj, G: FiniteGroup) -> EndoSemigroup:
-    if isinstance(obj, EndoSemigroup):
-        return obj
-    if isinstance(obj, GroupHom):
-        return EndoSemigroup(G, [obj])
-    raise ScenarioError("NameUnresolved", f"expected a semigroup, got {type(obj).__name__}")
-
-
-def _as_tower(obj) -> tuple[Tower, CoherentEndoFamily]:
-    if _is_tower_pair(obj):
-        return obj
-    raise ScenarioError("NameUnresolved", f"expected a tower, got {type(obj).__name__}")
-
-
-def _as_subgroup(arg, G: FiniteGroup) -> Subgroup:
-    if isinstance(arg, AList):
-        elems = []
-        for e in arg.elems:
-            if not isinstance(e, int):
-                raise ScenarioError("NameUnresolved", "subgroup literals use plain element indices")
-            elems.append(e)
-        return closure(G, elems)
-    if isinstance(arg, Subgroup):
-        return arg
-    raise ScenarioError("NameUnresolved", "expected a subgroup literal [..]")
-
-
-def _primes_of(arg) -> set[int]:
-    if isinstance(arg, ASet):
-        return {int(p) for p in arg.items}
-    raise ScenarioError("NameUnresolved", "expected a prime set {p, ...}")
+def _autoset(G: FiniteGroup, maps: tuple) -> AutoSet | None:
+    # a map that is not bijective is a value error, so AutoSet raises it at run time
+    return AutoSet(G, maps) if maps else None
 
 
 def _levels_label(base: str, k: int) -> str:
     return f"{base}[level {k + 1}]"
 
 
+# Runners take the record target and arguments already coerced to the kinds
+# of one signature, and return one (target, status, details) row per record.
+# They call every layer function through its module-level name, so a wrapper
+# installed on that name sees the call.
+
+
+def _run_contraction(target: str, *args) -> list:
+    if len(args) == 1:
+        _tower, fam = args[0]
+        return [_contraction_row(_levels_label(target, k), contraction(f)) for k, f in enumerate(fam.endos)]
+    _G, f = args
+    rep = contraction(f)
+    chains = {
+        "kernel_chain": [s.size for s in rep.kernel_chain],
+        "image_chain": [s.size for s in rep.image_chain],
+    }
+    return [_contraction_row(target, rep, **chains)]
+
+
+def _run_theorem_a(target: str, *args) -> list:
+    if len(args) == 2:
+        return [_check_row(target, verify_theorem_a(*args))]
+    tower, fam = args[0]
+    report = levelwise_contraction(tower, fam)
+    rows = []
+    for k, rec in enumerate(report.theorem_a):
+        extra = {}
+        if k > 0:
+            extra["coherence_to_previous"] = vars(report.coherence[k - 1])
+        if tower.parts is not None:
+            level, sd = report.level_reports[k], tower.parts[k]
+            extra["con_matches_normal_part"] = level.con == sd.normal_part
+            extra["stable_matches_acting_part"] = level.stable_image == sd.acting_part
+        rows.append(_check_row(_levels_label(target, k), rec, **extra))
+    return rows
+
+
+def _run_theorem_b(target: str, tower_pair) -> list:
+    rep = verify_theorem_b_tower(*tower_pair)
+    diag = rep.diagnostics
+    details = {
+        "diagnostics": {
+            "limit_injective": diag.limit_injective,
+            "verified_depth": diag.verified_depth,
+            "kernel_shrink_depth": diag.kernel_shrink_depth,
+            "projected_kernel_orders": diag.projected_kernel_orders,
+            "image_indices": diag.image_indices,
+            "image_open": diag.image_open,
+        },
+        "part_i_nilpotent": [r.nilpotent for r in rep.part_i],
+        "o_lambda_orders": [r.subgroup.size for r in rep.part_i],
+        "part_ii_applicable": rep.part_ii_applicable,
+        "part_ii_passed": rep.part_ii_passed,
+    }
+    if diag.kernel_witness is not None:
+        level, elem = diag.kernel_witness
+        details["witness"] = f"kernel element {elem} survives projection to level {level}"
+    return [(target, rep.status, details)]
+
+
+def _run_o_pi(target: str, G: FiniteGroup, primes: set[int]) -> list:
+    sub = o_pi(G, primes)
+    return [(target, "pass", {"order": sub.size, "index": sub.index, "members": sub.members[:32]})]
+
+
+def _run_hom_search(target: str, G: FiniteGroup, tgt: FiniteGroup | Subgroup) -> list:
+    res = hom_search(G, tgt)
+    details = {"count": res.count, "witnesses_kept": len(res.witnesses)}
+    if res.simple_witness is not None:
+        details["simple_witness"] = {
+            "kernel_order": res.simple_witness.kernel.size,
+            "kernel_index": res.simple_witness.kernel.index,
+            "quotient_simple": res.simple_witness.quotient_simple,
+        }
+    return [(target, "pass", details)]
+
+
+def _run_typef(target: str, tower_pair, n: int) -> list:
+    prof = typef_profile(tower_pair[0], n)
+    details = {
+        "per_level": [p.counts for p in prof.per_level],
+        "stabilized": prof.stabilized,
+        "complete": prof.complete,
+    }
+    return [(target, "pass" if prof.complete else "budget_exceeded", details)]
+
+
+@dataclass(frozen=True)
+class AnalysisSpec:
+    """One analysis: the argument-kind signatures it accepts and its runner.
+
+    Argument kinds: ``group`` (a semidirect group counts as its group),
+    ``semidirect`` (a semidirect-constructed group), ``endo``,
+    ``semigroup`` (a single endo counts as the semigroup it generates),
+    ``tower``, ``int``, ``primes`` (``{2, 3}``), ``autos`` (``{name, ...}``
+    or ``{}``) and ``subgroup`` (an element list ``[elem, ...]``).  An endo,
+    semigroup, automorphism set or element list belongs to the group
+    argument before it.
+    """
+
+    signatures: tuple[tuple[str, ...], ...]
+    run: Callable[..., list]
+
+
+ANALYSES: dict[str, AnalysisSpec] = {
+    "contraction": AnalysisSpec((("tower",), ("group", "endo")), _run_contraction),
+    "theorem_a": AnalysisSpec((("tower",), ("group", "endo")), _run_theorem_a),
+    "splitthm": AnalysisSpec(
+        (("group", "semigroup"),), lambda target, G, S: [_check_row(target, verify_splitthm(G, S))]
+    ),
+    "theorem_b": AnalysisSpec((("tower",),), _run_theorem_b),
+    "regulation": AnalysisSpec(
+        (("group", "semigroup", "autos"),),
+        lambda target, G, S, maps: [_check_row(target, verify_regulation(G, S, _autoset(G, maps)))],
+    ),
+    "tfrelstab2": AnalysisSpec(
+        (("semidirect", "semigroup", "autos"),),
+        lambda target, sd, S, maps: [_check_row(target, tfrelstab_ii_check(sd, S, _autoset(sd.group, maps)))],
+    ),
+    "shrinkind": AnalysisSpec(
+        (("group", "endo", "subgroup"),),
+        lambda target, G, f, K: [_check_row(target, shrinkind_check(G, f, K))],
+    ),
+    "o_pi": AnalysisSpec((("group", "primes"),), _run_o_pi),
+    "fewprimes": AnalysisSpec(
+        (("endo", "primes"),), lambda target, f, primes: [_check_row(target, fewprimes_check(f, primes))]
+    ),
+    "hom_search": AnalysisSpec((("group", "group"), ("group", "subgroup")), _run_hom_search),
+    "typef": AnalysisSpec((("tower", "int"),), _run_typef),
+}
+
+
 def _run_single(analysis: ResolvedAnalysis) -> list[AnalysisRecord]:
-    kind, args, target = analysis.kind, analysis.args, analysis.target
+    kind, target = analysis.kind, analysis.target
     t0 = time.perf_counter()
-
-    def ms() -> float:
-        return (time.perf_counter() - t0) * 1000.0
-
     try:
-        if kind == "contraction":
-            if _is_tower_pair(args[0]):
-                tower, fam = _as_tower(args[0])
-                out = []
-                for k, f in enumerate(fam.endos):
-                    rep = contraction(f)
-                    out.append(
-                        AnalysisRecord(
-                            kind,
-                            _levels_label(target, k),
-                            "pass" if all(rep.checks.values()) else "fail",
-                            _json_safe(
-                                {
-                                    "con_order": rep.con.size,
-                                    "stable_order": rep.stable_image.size,
-                                    "depth": rep.depth,
-                                    "oracle": rep.checks,
-                                }
-                            ),
-                            ms(),
-                        )
-                    )
-                return out
-            G = _as_group(args[0])
-            f = _as_endo(args[1])
-            rep = contraction(f)
-            return [
-                AnalysisRecord(
-                    kind,
-                    target,
-                    "pass" if all(rep.checks.values()) else "fail",
-                    _json_safe(
-                        {
-                            "con_order": rep.con.size,
-                            "stable_order": rep.stable_image.size,
-                            "depth": rep.depth,
-                            "kernel_chain": [s.size for s in rep.kernel_chain],
-                            "image_chain": [s.size for s in rep.image_chain],
-                            "oracle": rep.checks,
-                        }
-                    ),
-                    ms(),
-                )
-            ]
-
-        if kind == "theorem_a":
-            if _is_tower_pair(args[0]):
-                tower, fam = _as_tower(args[0])
-                report = levelwise_contraction(tower, fam)
-                out = []
-                for k, rec in enumerate(report.theorem_a):
-                    details = dict(rec.data)
-                    details["checks"] = {c.name: c.passed for c in rec.checks}
-                    if k > 0:
-                        details["coherence_to_previous"] = vars(report.coherence[k - 1])
-                    if tower.parts is not None:
-                        sd = tower.parts[k]
-                        details["con_matches_normal_part"] = report.level_reports[k].con == sd.normal_part
-                        details["stable_matches_acting_part"] = (
-                            report.level_reports[k].stable_image == sd.acting_part
-                        )
-                    out.append(
-                        AnalysisRecord(
-                            kind,
-                            _levels_label(target, k),
-                            "pass" if rec.passed else "fail",
-                            _json_safe(details),
-                            ms(),
-                        )
-                    )
-                return out
-            G = _as_group(args[0])
-            f = _as_endo(args[1])
-            return [_record_from_checks(kind, target, verify_theorem_a(G, f), ms())]
-
-        if kind == "splitthm":
-            G = _as_group(args[0])
-            S = _as_semigroup(args[1], G)
-            return [_record_from_checks(kind, target, verify_splitthm(G, S), ms())]
-
-        if kind == "theorem_b":
-            tower, fam = _as_tower(args[0])
-            rep = verify_theorem_b_tower(tower, fam)
-            details = {
-                "diagnostics": {
-                    "limit_injective": rep.diagnostics.limit_injective,
-                    "verified_depth": rep.diagnostics.verified_depth,
-                    "kernel_shrink_depth": rep.diagnostics.kernel_shrink_depth,
-                    "projected_kernel_orders": rep.diagnostics.projected_kernel_orders,
-                    "image_indices": rep.diagnostics.image_indices,
-                    "image_open": rep.diagnostics.image_open,
-                },
-                "part_i_nilpotent": [r.nilpotent for r in rep.part_i],
-                "o_lambda_orders": [r.subgroup.size for r in rep.part_i],
-                "part_ii_applicable": rep.part_ii_applicable,
-                "part_ii_passed": rep.part_ii_passed,
-            }
-            if rep.diagnostics.kernel_witness is not None:
-                level, elem = rep.diagnostics.kernel_witness
-                details["witness"] = f"kernel element {elem} survives projection to level {level}"
-            return [AnalysisRecord(kind, target, rep.status, _json_safe(details), ms())]
-
-        if kind == "regulation":
-            G = _as_group(args[0])
-            S = _as_semigroup(args[1], G)
-            autos = _resolve_autoset(args[2], G)
-            return [_record_from_checks(kind, target, verify_regulation(G, S, autos), ms())]
-
-        if kind == "tfrelstab2":
-            obj = args[0]
-            if not isinstance(obj, SemidirectProduct):
-                raise ScenarioError("NameUnresolved", "tfrelstab2 needs a semidirect-constructed group")
-            S = _as_semigroup(args[1], obj.group)
-            autos = _resolve_autoset(args[2], obj.group)
-            return [_record_from_checks(kind, target, tfrelstab_ii_check(obj, S, autos), ms())]
-
-        if kind == "shrinkind":
-            G = _as_group(args[0])
-            f = _as_endo(args[1])
-            K = _as_subgroup(args[2], G)
-            return [_record_from_checks(kind, target, shrinkind_check(G, f, K), ms())]
-
-        if kind == "o_pi":
-            G = _as_group(args[0])
-            primes = _primes_of(args[1])
-            sub = o_pi(G, primes)
-            return [
-                AnalysisRecord(
-                    kind,
-                    target,
-                    "pass",
-                    _json_safe({"order": sub.size, "index": sub.index, "members": sub.members[:32]}),
-                    ms(),
-                )
-            ]
-
-        if kind == "fewprimes":
-            f = _as_endo(args[0])
-            primes = _primes_of(args[1])
-            return [_record_from_checks(kind, target, fewprimes_check(f, primes), ms())]
-
-        if kind == "hom_search":
-            G = _as_group(args[0])
-            if isinstance(args[1], AList):
-                tgt: FiniteGroup | Subgroup = _as_subgroup(args[1], G)
-            else:
-                obj = args[1]
-                tgt = obj.group if isinstance(obj, SemidirectProduct) else obj
-            res = hom_search(G, tgt)
-            details = {"count": res.count, "witnesses_kept": len(res.witnesses)}
-            if res.simple_witness is not None:
-                details["simple_witness"] = {
-                    "kernel_order": res.simple_witness.kernel.size,
-                    "kernel_index": res.simple_witness.kernel.index,
-                    "quotient_simple": res.simple_witness.quotient_simple,
-                }
-            return [AnalysisRecord(kind, target, "pass", _json_safe(details), ms())]
-
-        if kind == "typef":
-            tower, _fam = _as_tower(args[0])
-            n = args[1].value if isinstance(args[1], AInt) else int(args[1])
-            prof = typef_profile(tower, n)
-            status = "pass" if prof.complete else "budget_exceeded"
-            details = {
-                "per_level": [p.counts for p in prof.per_level],
-                "stabilized": prof.stabilized,
-                "complete": prof.complete,
-            }
-            return [AnalysisRecord(kind, target, status, _json_safe(details), ms())]
-
-        raise ScenarioError("NameUnresolved", f"unknown analysis kind {kind!r}")
+        rows = ANALYSES[kind].run(target, *analysis.args)
     except PreconditionPrimes as exc:
-        return [AnalysisRecord(kind, target, "skipped", {"reason": str(exc)}, ms())]
+        rows = [(target, "skipped", {"reason": str(exc)})]
     except SearchBudgetExceeded as exc:
-        return [AnalysisRecord(kind, target, "budget_exceeded", {"reason": str(exc)}, ms())]
+        rows = [(target, "budget_exceeded", {"reason": str(exc)})]
     except GroupError as exc:
-        return [AnalysisRecord(kind, target, "fail", {"error": str(exc)}, ms())]
-
-
-def _resolve_autoset(arg, G: FiniteGroup) -> AutoSet | None:
-    if isinstance(arg, ASet):
-        if not arg.items:
-            return None
-        maps = []
-        for item in arg.items:
-            if not isinstance(item, GroupHom):
-                raise ScenarioError("NameUnresolved", f"automorphism set items must name endomorphisms, got {item!r}")
-            maps.append(item)
-        return AutoSet(G, tuple(maps))
-    if isinstance(arg, AutoSet):
-        return arg
-    raise ScenarioError("NameUnresolved", "expected an automorphism set {name, ...}")
+        rows = [(target, "fail", {"error": str(exc)})]
+    ms = (time.perf_counter() - t0) * 1000.0
+    return [AnalysisRecord(kind, t, status, _json_safe(details), ms) for t, status, details in rows]
 
 
 def run(resolved: ResolvedScenario, config: RunConfig | None = None) -> Report:

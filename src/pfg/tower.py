@@ -305,16 +305,10 @@ class TowerReport:
     level_reports: tuple[ContractionReport, ...]
     theorem_a: tuple[CheckRecord, ...]
     coherence: tuple[ConCoherence, ...]
-    diagnostics: "LimitDiagnostics"
-    theorem_b: "TheoremBReport | None" = None
 
     @property
     def all_theorem_a_passed(self) -> bool:
         return all(r.passed for r in self.theorem_a)
-
-    @property
-    def all_inclusions_hold(self) -> bool:
-        return all(c.projection_inclusion for c in self.coherence)
 
 
 def levelwise_contraction(T: Tower, F: CoherentEndoFamily) -> TowerReport:
@@ -331,19 +325,7 @@ def levelwise_contraction(T: Tower, F: CoherentEndoFamily) -> TowerReport:
         proj_img = image_of_subgroup(pi, upper.stable_image)
         img_eq = proj_img == lower.stable_image
         coherence.append(ConCoherence(incl, eq, img_eq))
-    return TowerReport(tuple(reports), tuple(records), tuple(coherence), limit_diagnostics(T, F))
-
-
-def analyze_tower(T: Tower, F: CoherentEndoFamily) -> TowerReport:
-    """Level-wise report with the tower-level verdicts filled in."""
-    base = levelwise_contraction(T, F)
-    return TowerReport(
-        base.level_reports,
-        base.theorem_a,
-        base.coherence,
-        base.diagnostics,
-        verify_theorem_b_tower(T, F),
-    )
+    return TowerReport(tuple(reports), tuple(records), tuple(coherence))
 
 
 @dataclass(frozen=True)

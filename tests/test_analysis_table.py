@@ -1,0 +1,97 @@
+"""The analysis table: its documentation, and parse -> validate -> run on
+arbitrary argument lists."""
+
+import json
+import re
+from pathlib import Path
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import pfg.dsl
+from pfg.dsl import ScenarioError, parse, validate
+from pfg.report import ANALYSES, emit, run
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+STATUSES = {"pass", "fail", "skipped", "hypotheses_not_met", "budget_exceeded"}
+
+
+def _block_after(text: str, heading: str) -> str:
+    """The lines from the one starting with heading up to the next blank line."""
+    start = next(i for i, line in enumerate(text.splitlines()) if line.startswith(heading))
+    lines = text.splitlines()[start:]
+    return "\n".join(lines[: lines.index("")] if "" in lines else lines)
+
+
+class TestDocumentation:
+    def test_readme_lists_every_analysis_with_its_signatures(self):
+        block = _block_after(README.read_text(encoding="utf-8"), "Analyses")
+        forms: dict[str, set[str]] = {}
+        for line in block.splitlines()[1:]:
+            head = line.split(": ", 1)[0]  # the forms, before the description
+            for kind, args in re.findall(r"`(\w+)\(([\w, ]*)\)`", head):
+                forms.setdefault(kind, set()).add(args)
+        assert forms == {k: {", ".join(sig) for sig in spec.signatures} for k, spec in ANALYSES.items()}
+
+    def test_dsl_docstring_names_every_analysis(self):
+        block = _block_after(pfg.dsl.__doc__, "Analyses")
+        names = set(re.findall(r"\w+", block.split(":", 1)[1]))
+        assert names == set(ANALYSES)
+
+
+# Every argument kind of the table, with a wrong-group endo (h) among them.
+PRELUDE = (
+    "group G = cyclic(6)\n"
+    "group D = semidirect(cyclic(3), cyclic(2), invert)\n"
+    "endo f on G = scale_first(5)\n"
+    "endo g on D = scale_first(3)\n"
+    "endo h on D = identity\n"
+    "semigroup L on D = {g}\n"
+    "tower T = zp(2) depth 2\n"
+)
+POOL = ("G", "D", "f", "g", "h", "L", "T", "2", "{2, 3}", "{h}", "{}", "[1]")
+# the pool entries of each argument kind, so that many requests fit a signature
+FITTING = {
+    "group": ("G", "D"),
+    "semidirect": ("D",),
+    "endo": ("f", "g", "h"),
+    "semigroup": ("L", "g"),
+    "tower": ("T",),
+    "int": ("2",),
+    "primes": ("{2, 3}", "{}"),
+    "autos": ("{h}", "{}"),
+    "subgroup": ("[1]",),
+}
+
+
+@st.composite
+def requests(draw) -> tuple[str, list[str]]:
+    """An analysis kind and 1-3 pool arguments: half the time all of the
+    kinds one of its signatures asks for, otherwise each position either of
+    that kind or any pool entry."""
+    kind = draw(st.sampled_from(sorted(ANALYSES)))
+    signature = draw(st.sampled_from(ANALYSES[kind].signatures))
+    exact = draw(st.booleans())
+    n = len(signature) if exact else draw(st.integers(1, 3))
+    args = []
+    for i in range(n):
+        fitting = exact or (i < len(signature) and draw(st.booleans()))
+        args.append(draw(st.sampled_from(FITTING[signature[i]] if fitting else POOL)))
+    return kind, args
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(request=requests())
+def test_any_argument_list_runs_or_is_a_located_error(request):
+    kind, args = request
+    source = PRELUDE + f"analyze {kind}({', '.join(args)})\n"
+    try:
+        resolved = validate(parse(source).spec)
+    except ScenarioError as exc:
+        assert exc.line == 8 and exc.column >= 1
+        return
+    report = run(resolved)
+    assert report.records and all(r.status in STATUSES for r in report.records)
+    first = emit(report, "json")
+    assert emit(report, "json") == first
+    assert json.loads(first)["analyses"][0]["kind"] == kind

@@ -253,3 +253,82 @@ class TestFullAnalysisSurface:
             "hom_search": "pass",
             "typef": "pass",
         }
+
+
+ARGUMENT_PRELUDE = (
+    "group G = cyclic(4)\n"
+    "group H = cyclic(6)\n"
+    "endo f on G = scale_first(2)\n"
+    "endo h on H = identity\n"
+    "semigroup L on G = {f}\n"
+    "tower T = zp(2) depth 2\n"
+)
+
+
+class TestArgumentKinds:
+    @pytest.mark.parametrize(
+        "request_text",
+        [
+            "typef(T, G)",
+            "hom_search(G, f)",
+            "theorem_a(f, G)",
+            "o_pi(G, 2)",
+            "tfrelstab2(G, f, {})",
+            "regulation(G, f, {3})",
+        ],
+    )
+    def test_wrong_kind_is_located_at_validate(self, request_text, tmp_path):
+        source = ARGUMENT_PRELUDE + f"analyze {request_text}\n"
+        with pytest.raises(ScenarioError) as exc:
+            validate(parse(source).spec)
+        assert exc.value.kind == "ArgumentKind"
+        assert (exc.value.line, exc.value.column) == (7, 1)
+        path = tmp_path / "wrong.pfg"
+        path.write_text(source)
+        from pfg.cli import main
+
+        assert main(["run", str(path)]) == 2
+
+    @pytest.mark.parametrize(
+        "request_text",
+        ["contraction(H, f)", "theorem_a(H, f)", "splitthm(H, L)", "shrinkind(H, f, [1])", "regulation(G, L, {h})"],
+    )
+    def test_endo_or_semigroup_of_another_group_is_rejected(self, request_text, tmp_path):
+        source = ARGUMENT_PRELUDE + f"analyze {request_text}\n"
+        with pytest.raises(ScenarioError) as exc:
+            validate(parse(source).spec)
+        assert exc.value.kind == "GroupMismatch"
+        assert (exc.value.line, exc.value.column) == (7, 1)
+        path = tmp_path / "mismatch.pfg"
+        path.write_text(source)
+        from pfg.cli import main
+
+        assert main(["run", str(path)]) == 2
+
+    def test_semigroup_member_of_another_group_is_rejected(self):
+        source = ARGUMENT_PRELUDE + "semigroup M on H = {f}\n"
+        with pytest.raises(ScenarioError) as exc:
+            validate(parse(source).spec)
+        assert exc.value.kind == "GroupMismatch"
+        assert exc.value.line == 7
+
+    def test_definition_names_of_the_wrong_kind_are_located(self):
+        source = ARGUMENT_PRELUDE + "endo g on f = identity\n"
+        with pytest.raises(ScenarioError) as exc:
+            validate(parse(source).spec)
+        assert exc.value.kind == "ArgumentKind"
+        assert exc.value.line == 7
+
+    def test_single_endo_counts_as_its_semigroup(self):
+        from pfg.report import run
+
+        source = ARGUMENT_PRELUDE + "analyze splitthm(G, f)\nanalyze regulation(G, f, {})\n"
+        report = run(validate(parse(source).spec))
+        assert [r.status for r in report.records] == ["pass", "pass"]
+
+    def test_non_bijective_automorphism_stays_a_fail_record(self):
+        from pfg.report import run
+
+        report = run(validate(parse(ARGUMENT_PRELUDE + "analyze regulation(G, L, {f})\n").spec))
+        assert report.records[0].status == "fail"
+        assert "non-bijective" in report.records[0].details["error"]

@@ -118,14 +118,12 @@ class TestLevelwise:
         rep = levelwise_contraction(t, fam)
         assert all(r.con.is_trivial for r in rep.level_reports)
 
-    def test_analyze_tower_fills_everything(self):
-        from pfg.tower import analyze_tower
-
+    def test_theorem_b_report_fills_diagnostics(self):
         t, f = build_units_semidirect_tower(3, 2)
-        rep = analyze_tower(t, f)
+        rep = verify_theorem_b_tower(t, f)
         assert rep.diagnostics.limit_injective
         assert rep.diagnostics.image_index_bound == 3
-        assert rep.theorem_b is not None and rep.theorem_b.status == "pass"
+        assert rep.status == "pass"
 
 
 class TestTheoremB:
