@@ -47,6 +47,7 @@ def cyclic(n: int, label: str | None = None, *, order_guard: int | None = None) 
     _guard(n, order_guard)
     idx = np.arange(n, dtype=np.int32)
     table = (idx[:, None] + idx[None, :]) % n
+    table.setflags(write=False)
     return FiniteGroup(table, label or f"Z{n}", order_guard=order_guard)
 
 
@@ -68,7 +69,24 @@ def units_mod(p: int, k: int, label: str | None = None, *, order_guard: int | No
     pos = np.full(m, -1, dtype=np.int32)
     pos[res] = np.arange(res.size, dtype=np.int32)
     table = pos[(res[:, None] * res[None, :]) % m]
+    table.setflags(write=False)
     return FiniteGroup(table, label or f"U{m}", order_guard=order_guard)
+
+
+def _pair_table(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """The frozen (n, n) table of pair products from the broadcast sum of
+    ``left`` and ``right`` on the (a1, b1, a2, b2) grid.
+
+    The sum is written straight into a C-order buffer: NumPy's default
+    result of the broadcast is not contiguous, and reshaping it would copy
+    the whole table again.
+    """
+    na, nb = left.shape[0], right.shape[1]
+    n = na * nb
+    table = np.empty((n, n), dtype=np.int32)
+    np.add(left, right, out=table.reshape(na, nb, na, nb))
+    table.setflags(write=False)
+    return table
 
 
 def direct_product(
@@ -78,7 +96,7 @@ def direct_product(
     na, nb = A.order, B.order
     _guard(na * nb, order_guard)
     # grid axes (a1, b1, a2, b2): (a1*a2) * nb + b1*b2
-    table = (A.table[:, None, :, None] * nb + B.table[None, :, None, :]).reshape(na * nb, na * nb)
+    table = _pair_table(A.table[:, None, :, None] * nb, B.table[None, :, None, :])
     return FiniteGroup(table, label or f"{A.label}x{B.label}", order_guard=order_guard)
 
 
@@ -177,7 +195,7 @@ def semidirect(
     _validate_action(N, H, act)
     # grid axes (a1, h1, a2, h2): (a1 * act_{h1}(a2)) * nh + h1*h2
     ta = N.table[:, act] * nh
-    table = (ta[:, :, :, None] + H.table[None, :, None, :]).reshape(nn * nh, nn * nh)
+    table = _pair_table(ta[:, :, :, None], H.table[None, :, None, :])
     G = FiniteGroup(table, label or f"{N.label}:{H.label}", order_guard=order_guard)
     normal = Subgroup(G, np.arange(nn, dtype=np.int32) * nh, _checked=True)
     acting = Subgroup(G, np.arange(nh, dtype=np.int32), _checked=True)

@@ -78,20 +78,26 @@ def _orbit_closure(table: np.ndarray, gens: Sequence[int]) -> np.ndarray:
 
     Breadth-first saturation: the orbit of the identity under right
     multiplication by the generators.  In a finite group the set of all
-    words in the generators is already closed under inverses.
+    words in the generators is already closed under inverses.  Generators
+    are adjoined one at a time and skipped when the closure so far already
+    holds them.  The closure so far is a subgroup, closed under the earlier
+    generators, so after adjoining g only its products with g can be new
+    at first, and the search goes on from those alone.
     """
     n = table.shape[0]
     seen = np.zeros(n, dtype=bool)
     seen[0] = True
-    garr = np.unique(np.asarray(list(gens), dtype=np.int32)) if len(gens) else None
-    if garr is None or garr.size == 0:
-        return seen
-    frontier = np.array([0], dtype=np.int32)
-    while frontier.size:
-        prods = np.unique(table[np.ix_(frontier, garr)])
-        new = prods[~seen[prods]]
-        seen[new] = True
-        frontier = new.astype(np.int32)
+    adjoined: list[int] = []
+    for g in np.unique(np.asarray(list(gens), dtype=np.int32)).tolist():
+        if seen[g]:
+            continue
+        adjoined.append(g)
+        prods = table[np.flatnonzero(seen), g]
+        frontier = prods[~seen[prods]]
+        while frontier.size:
+            seen[frontier] = True
+            prods = np.unique(table[np.ix_(frontier, adjoined)])
+            frontier = prods[~seen[prods]]
     return seen
 
 
@@ -133,6 +139,8 @@ class FiniteGroup:
 
     ``table[a, b]`` is the index of the product a*b.  The identity is
     normalized to index 0 and the inverse table is computed up front.
+    The table is copied, unless it is a read-only int32 array that owns its
+    data: constructors freeze a fresh table and hand it over.
     """
 
     def __init__(
@@ -144,7 +152,13 @@ class FiniteGroup:
         order_guard: int | None = None,
     ):
         guard = DEFAULT_ORDER_GUARD if order_guard is None else order_guard
-        t = np.array(table, dtype=np.int32)
+        adopt = (
+            isinstance(table, np.ndarray)
+            and table.dtype == np.int32
+            and table.flags.owndata
+            and not table.flags.writeable
+        )
+        t = table if adopt else np.array(table, dtype=np.int32)
         if t.ndim != 2 or t.shape[0] != t.shape[1] or t.shape[0] == 0:
             raise ParamOutOfRange(f"multiplication table must be square and non-empty, got shape {t.shape}")
         n = t.shape[0]
@@ -483,19 +497,30 @@ def image_of_subgroup(f: GroupHom, S: Subgroup) -> Subgroup:
 
 
 def quotient(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, GroupHom]:
-    """Quotient group on coset representatives plus the projection map."""
+    """Quotient group on coset representatives plus the projection map.
+
+    Cosets x*N are labelled in one walk over x = 0..n-1: the first
+    unlabelled x is the least element of its coset and gets the next label,
+    so labels follow the order of the least representatives.  The walk
+    costs n cheap steps plus one labelling of |N| entries per coset; the
+    worst case is a tiny N: for a trivial N at order 4374 the walk takes
+    about 11 ms, where the n x |N| coset matrix took under 1 ms.
+    """
     if N.parent is not G:
         raise DifferentParents("subgroup does not live in the given group")
     if not is_normal(G, N):
         raise NotNormal("quotient requires a normal subgroup")
-    cosets = G.table[:, N.members]
-    rep = cosets.min(axis=1).astype(np.int32)  # x -> least element of x*N
-    reps = np.unique(rep)
-    pos = np.full(G.order, -1, dtype=np.int32)
-    pos[reps] = np.arange(reps.size, dtype=np.int32)
-    qtable = pos[rep[G.table[np.ix_(reps, reps)]]]
+    table, members = G.table, N.members
+    label = np.full(G.order, -1, dtype=np.int32)
+    reps: list[int] = []
+    for x in range(G.order):
+        if label[x] < 0:
+            label[table[x][members]] = len(reps)
+            reps.append(x)
+    qtable = label[table[np.ix_(reps, reps)]]
+    qtable.setflags(write=False)
     Q = FiniteGroup(qtable, f"{G.label}/N{N.size}", validate=False)
-    proj = GroupHom(G, Q, pos[rep], validate=False)
+    proj = GroupHom(G, Q, label, validate=False)
     return Q, proj
 
 
@@ -504,7 +529,9 @@ def subgroup_as_group(G: FiniteGroup, S: Subgroup, label: str | None = None) -> 
     m = S.members
     pos = np.full(G.order, -1, dtype=np.int32)
     pos[m] = np.arange(m.size, dtype=np.int32)
-    H = FiniteGroup(pos[G.table[np.ix_(m, m)]], label or f"{G.label}|{S.size}", validate=False)
+    table = pos[G.table[np.ix_(m, m)]]
+    table.setflags(write=False)
+    H = FiniteGroup(table, label or f"{G.label}|{S.size}", validate=False)
     incl = GroupHom(H, G, m, validate=False)
     return H, incl
 

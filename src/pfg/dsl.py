@@ -758,7 +758,6 @@ class ResolvedAnalysis:
     kind: str
     target: str
     args: tuple
-    line: int
 
 
 @dataclass(frozen=True)
@@ -1102,8 +1101,13 @@ def validate(spec: ScenarioSpec, *, base_dir: str | Path = ".", order_guard: int
                 params = tuple(lookup(p, stmt, "tower")[0] if isinstance(p, str) else p for p in stmt.params)
                 pair = build_tower(stmt.builder, params, stmt.depth, order_guard=guard)
                 define(stmt.name, (pair, None), stmt)
+        except ScenarioError:
+            raise
         except OrderGuardExceeded as exc:
             raise ScenarioError("OrderGuard", str(exc), stmt.line, stmt.column)
+        except (GroupError, OSError) as exc:
+            # a construction that rejects its parameters, or a table file that cannot be read
+            raise ScenarioError(type(exc).__name__, str(exc), stmt.line, stmt.column)
 
     analyses: list[ResolvedAnalysis] = []
     for an in spec.analyses:
@@ -1118,6 +1122,6 @@ def validate(spec: ScenarioSpec, *, base_dir: str | Path = ".", order_guard: int
             got = ", ".join(f"{kind} {_fmt_arg(arg)}" for kind, _obj, _shape, arg in values)
             raise ScenarioError("ArgumentKind", f"{an.kind} takes {forms}, got ({got})", an.line, an.column)
         target = ", ".join(_fmt_arg(a) for a in an.args)
-        analyses.append(ResolvedAnalysis(an.kind, target, args, an.line))
+        analyses.append(ResolvedAnalysis(an.kind, target, args))
 
     return ResolvedScenario("scenario", env, tuple(analyses), dict(spec.options))

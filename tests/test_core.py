@@ -129,6 +129,18 @@ class TestBuildFromTable:
         with pytest.raises(OrderGuardExceeded):
             cyclic(100, order_guard=50)
 
+    def test_only_frozen_owning_int32_tables_are_adopted(self):
+        writable = np.array(z4_table(), dtype=np.int32)
+        frozen = np.array(z4_table(), dtype=np.int32)
+        frozen.setflags(write=False)
+        view = np.tile(frozen, (2, 2))[:4, :4]
+        view.setflags(write=False)
+        for table in (writable, view, z4_table()):
+            G = build_from_table(table)
+            assert not np.shares_memory(G.table, table)
+            assert not G.table.flags.writeable
+        assert build_from_table(frozen).table is frozen
+
 
 class TestCatalogConstruct:
     def test_cyclic_one_is_trivial(self):

@@ -170,6 +170,29 @@ class TestValidate:
         assert resolved.environment["G"][0].order == 4
 
 
+class TestConstructionErrorsLocated:
+    @pytest.mark.parametrize(
+        "definition, kind",
+        [
+            ("group G = cyclic(0)", "ParamOutOfRange"),
+            ("group U = units_mod(4, 2)", "ParamOutOfRange"),
+            ("group G = semidirect(cyclic(4), cyclic(3), invert)", "BadAction"),
+            ('group G = table("missing.txt")', "FileNotFoundError"),
+        ],
+    )
+    def test_error_is_located_and_run_exits_2(self, definition, kind, tmp_path):
+        source = f"group A = cyclic(2)\n  {definition}\n"
+        with pytest.raises(ScenarioError) as exc:
+            validate(parse(source).spec, base_dir=tmp_path)
+        assert exc.value.kind == kind
+        assert (exc.value.line, exc.value.column) == (2, 3)
+        path = tmp_path / "bad.pfg"
+        path.write_text(source)
+        from pfg.cli import main
+
+        assert main(["run", str(path)]) == 2
+
+
 class TestBuiltinEndos:
     def test_project_away_first_coordinate(self):
         source = (

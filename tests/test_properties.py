@@ -3,11 +3,12 @@
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from pfg.catalog import builtin_entries, random_endo, random_subgroup
+from pfg.catalog import builtin_entries, paper_example_level, random_endo, random_subgroup
 from pfg.core import (
     FiniteGroup,
     GroupError,
     NotAssociative,
+    _orbit_closure,
     closure,
     hom_parts,
     is_normal,
@@ -28,6 +29,28 @@ def _scan_associativity_full(table: np.ndarray) -> None:
         if not np.array_equal(left, right):
             b, c = np.argwhere(left != right)[0]
             raise NotAssociative(a, int(b), int(c))
+
+
+def _quotient_by_least_element(G: FiniteGroup, N) -> tuple[np.ndarray, np.ndarray]:
+    """Oracle: quotient table and projection from the n x |N| coset matrix."""
+    rep = G.table[:, N.members].min(axis=1)  # x -> least element of x*N
+    reps = np.unique(rep)
+    pos = np.full(G.order, -1, dtype=np.int32)
+    pos[reps] = np.arange(reps.size, dtype=np.int32)
+    return pos[rep[G.table[np.ix_(reps, reps)]]], pos[rep]
+
+
+def _orbit_closure_all_generators(table: np.ndarray, gens) -> np.ndarray:
+    """Oracle: breadth-first saturation by every generator at every step."""
+    seen = np.zeros(table.shape[0], dtype=bool)
+    seen[0] = True
+    garr = np.asarray(list(gens), dtype=np.int64)
+    frontier = np.array([0])
+    while frontier.size and garr.size:
+        prods = np.unique(table[np.ix_(frontier, garr)])
+        frontier = prods[~seen[prods]]
+        seen[frontier] = True
+    return seen
 
 
 ENTRIES = [e for e in builtin_entries(100)]
@@ -177,3 +200,33 @@ def test_is_normal_matches_conjugation_by_every_element():
         for S in catalog.entries:
             conj = G.table[G.table[:, S.members], G.inv[:, None]]
             assert is_normal(G, S) == bool(S.bools[conj].all()), (G, S)
+
+
+def test_quotient_matches_least_element_oracle():
+    groups = [e.group for e in builtin_entries(60)]
+    groups += [paper_example_level(p, k)[0].group for p, k in ((3, 3), (2, 5))]
+    for G in groups:
+        normals = enumerate_normals(G)
+        assert normals[0].is_trivial and normals[-1].is_whole
+        for N in normals:
+            Q, proj = quotient(G, N)
+            qtable, projmap = _quotient_by_least_element(G, N)
+            assert np.array_equal(Q.table, qtable), (G, N)
+            assert np.array_equal(proj.map, projmap), (G, N)
+
+
+CLOSURE_GROUPS = [e.group for e in builtin_entries(100)] + [paper_example_level(3, 3)[0].group]
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_orbit_closure_matches_all_generator_oracle(data):
+    G = data.draw(st.sampled_from(CLOSURE_GROUPS))
+    gens = data.draw(st.lists(st.integers(0, G.order - 1), max_size=12))
+    if gens:
+        # repeats, and products of drawn generators, which are redundant
+        pair = st.tuples(st.sampled_from(gens), st.sampled_from(gens))
+        for a, b in data.draw(st.lists(pair, max_size=6)):
+            gens += [a, int(G.table[a, b])]
+        gens = data.draw(st.permutations(gens))
+    assert np.array_equal(_orbit_closure(G.table, gens), _orbit_closure_all_generators(G.table, gens))
