@@ -234,5 +234,8 @@ def scale_first_map(sd_or_group, m: int, right_order: int | None = None) -> np.n
 
 
 def load_table_file(path) -> np.ndarray:
-    """Whitespace-separated integer matrix file."""
-    return np.loadtxt(path, dtype=np.int64, ndmin=2)
+    """Whitespace-separated integer matrix file; a malformed one is ParamOutOfRange."""
+    try:
+        return np.loadtxt(path, dtype=np.int64, ndmin=2)
+    except ValueError as exc:
+        raise ParamOutOfRange(f"malformed table file: {exc}") from None

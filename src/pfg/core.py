@@ -9,7 +9,7 @@ inputs, so values can be shared freely across workers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -99,6 +99,44 @@ def _orbit_closure(table: np.ndarray, gens: Sequence[int]) -> np.ndarray:
             prods = np.unique(table[np.ix_(frontier, adjoined)])
             frontier = prods[~seen[prods]]
     return seen
+
+
+def extend_images(
+    table: np.ndarray,
+    gens: Sequence[int],
+    img: np.ndarray,
+    mul: Callable[[np.ndarray, np.ndarray], np.ndarray],
+) -> tuple[np.ndarray, tuple[int, int] | None]:
+    """Extend generator images in place over the subgroup they generate.
+
+    ``img[0]`` holds the codomain identity and ``img[g]`` the image of each
+    g in ``gens``; ``mul(img[xs], img[g])`` multiplies a batch of images by
+    ``img[g]``.  A breadth-first walk gives each new x*g the image
+    ``mul(img[x], img[g])``.  The law is then checked for every member x and
+    each g in ``gens``, which proves it on all pairs of members, as in
+    ``_scan_associativity``.  Returns the ascending members of <gens> and
+    the first failing (x, g), or None.
+    """
+    glist = [int(g) for g in gens]
+    seen = np.zeros(table.shape[0], dtype=bool)
+    frontier = np.unique(np.asarray([0, *glist], dtype=np.int32))
+    seen[frontier] = True
+    while frontier.size and glist:
+        found = []
+        for g in glist:
+            prods = table[frontier, g]
+            new = ~seen[prods]
+            prods = prods[new]
+            seen[prods] = True
+            img[prods] = mul(img[frontier[new]], img[g])
+            found.append(prods)
+        frontier = np.concatenate(found)
+    members = np.flatnonzero(seen)
+    for g in glist:
+        bad = (img[table[members, g]] != mul(img[members], img[g])).reshape(members.size, -1).any(axis=1)
+        if bad.any():
+            return members, (int(members[np.argmax(bad)]), g)
+    return members, None
 
 
 def _greedy_generators(table: np.ndarray) -> list[int]:

@@ -7,7 +7,7 @@ Grammar (one statement per line, ``#`` starts a comment, files use ``.pfg``):
     semigroup NAME on NAME = { NAME, ... }
     tower NAME = BUILDER(params) depth INT
     analyze ANALYSIS(args)
-    set KEY = VALUE
+    set KEY = VALUE                     # KEY: order_guard, jobs, seed
 
     gexpr  := cyclic(INT) | units_mod(INT, INT) | product(NAME, NAME)
             | semidirect(gexpr, gexpr, action) | table("PATH")
@@ -27,6 +27,7 @@ Builders: zp, zpn, units_semidirect, product, s3_times_z2.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -48,13 +49,15 @@ from .core import (
     OrderGuardExceeded,
     closure,
     build_from_table,
+    extend_images,
 )
 from .endo import EndoSemigroup
+from .lattice import prime_factors
 from .report import ANALYSES
 from .tower import build_tower
 
 BUILDERS = {"zp", "zpn", "units_semidirect", "product", "s3_times_z2"}
-OPTION_KEYS = {"order_guard", "node_budget", "jobs", "seed"}
+OPTION_KEYS = {"order_guard", "jobs", "seed"}
 
 
 @dataclass(frozen=True)
@@ -634,9 +637,10 @@ class _Parser:
 
     def parse_option(self) -> Option:
         kw = self.next()
+        at = self.peek()
         key = self.expect_name("an option key")
         if key not in OPTION_KEYS:
-            self.error(f"unknown option {key!r}")
+            self.error(f"unknown option {key!r}; the options are {', '.join(sorted(OPTION_KEYS))}", at)
         self.expect_sym("=")
         value = self.expect_int()
         return Option(kw.line, kw.column, key, value)
@@ -827,23 +831,11 @@ def _build_action(action, N: FiniteGroup, H: FiniteGroup, ns: _GroupShape, hs: _
             return inversion_action(N, H)
         if action.name == "mult_action":
             # H must be the unit group of N's modulus
-            m = N.order
-            from .construct import is_prime
-
-            base = None
-            for p in range(2, m + 1):
-                if is_prime(p) and m % p == 0:
-                    k = 0
-                    mm = m
-                    while mm % p == 0:
-                        mm //= p
-                        k += 1
-                    if mm == 1:
-                        base = (p, k)
-                    break
-            if base is None:
+            primes = prime_factors(N.order)
+            if len(primes) != 1:
                 raise ScenarioError("OrderGuard", "mult_action needs a prime-power cyclic normal part", stmt.line, stmt.column)
-            res = units_residues(*base)
+            (p,) = primes
+            res = units_residues(p, round(math.log(N.order, p)))
             if len(res) != H.order:
                 raise ScenarioError(
                     "OrderGuard",
@@ -853,72 +845,39 @@ def _build_action(action, N: FiniteGroup, H: FiniteGroup, ns: _GroupShape, hs: _
                 )
             return multiplication_action(N, H, res)
     if isinstance(action, ActionMap):
-        # expand the H -> Aut(N) homomorphism from generator images
-        auto_images: dict[int, np.ndarray] = {}
+        # the H -> Aut(N) homomorphism from the images of acting generators
+        act = np.zeros((H.order, N.order), dtype=np.int32)
+        act[0] = np.arange(N.order, dtype=np.int32)
+        gens = []
         for h_expr, pairs in action.entries:
             h = hs.index_of(h_expr, stmt)
-            elem_pairs = [(ns.index_of(a, stmt), ns.index_of(b, stmt)) for a, b in pairs]
-            auto_images[h] = _expand_hom(N, N, elem_pairs, stmt)
-        act = np.full((H.order, N.order), -1, dtype=np.int32)
-        act[0] = np.arange(N.order, dtype=np.int32)
-        known = {0}
-        for h, arr in auto_images.items():
-            act[h] = arr
-            known.add(h)
-        changed = True
-        while changed:
-            changed = False
-            for a in list(known):
-                for b in list(known):
-                    c = int(H.table[a, b])
-                    comp = act[a][act[b]]
-                    if c in known:
-                        if not np.array_equal(act[c], comp):
-                            raise ScenarioError("NotAHomomorphism", f"action images conflict at acting pair ({a}, {b})", stmt.line, stmt.column)
-                    else:
-                        act[c] = comp
-                        known.add(c)
-                        changed = True
-        if len(known) != H.order:
+            act[h] = _expand_hom(N, N, [(ns.index_of(a, stmt), ns.index_of(b, stmt)) for a, b in pairs], stmt)
+            gens.append(h)
+        members, witness = extend_images(H.table, gens, act, lambda a, b: a[:, b])
+        if witness is not None:
+            raise ScenarioError("NotAHomomorphism", f"action images conflict at acting pair {witness}", stmt.line, stmt.column)
+        if members.size != H.order:
             raise ScenarioError("NotAHomomorphism", "action images do not cover the acting group", stmt.line, stmt.column)
         return act
     raise ScenarioError("NameUnresolved", f"bad action {action!r}", stmt.line, stmt.column)
 
 
 def _expand_hom(G: FiniteGroup, H: FiniteGroup, pairs: list[tuple[int, int]], stmt: Stmt) -> np.ndarray:
-    """Expand generator images into a full map; raises on conflicts/shortfall."""
-    img = np.full(G.order, -1, dtype=np.int32)
-    img[0] = 0
-    elems = [0]
-    work = []
+    """Expand generator images into a full map; raises on an element given
+    two images, a failed law or generators of a proper subgroup."""
+    given = {0: 0}
     for x, y in pairs:
-        if img[x] != -1 and img[x] != y:
+        if given.setdefault(x, y) != y:
             raise ScenarioError("NotAHomomorphism", f"conflicting images for element {x}", stmt.line, stmt.column)
-        if img[x] == -1:
-            img[x] = y
-            elems.append(x)
-            work.append(x)
-    tG, tH = G.table, H.table
-    while work:
-        z = work.pop()
-        for x in list(elems):
-            for p, q in ((tG[x, z], tH[img[x], img[z]]), (tG[z, x], tH[img[z], img[x]])):
-                p, q = int(p), int(q)
-                if img[p] == -1:
-                    img[p] = q
-                    elems.append(p)
-                    work.append(p)
-                elif img[p] != q:
-                    raise ScenarioError(
-                        "NotAHomomorphism",
-                        f"images violate the multiplication law at pair ({x}, {z})",
-                        stmt.line,
-                        stmt.column,
-                    )
-    if len(elems) != G.order:
+    img = np.zeros(G.order, dtype=np.int32)
+    img[list(given)] = list(given.values())
+    members, witness = extend_images(G.table, list(given), img, lambda a, b: H.table[a, b])
+    if witness is not None:
+        raise ScenarioError("NotAHomomorphism", f"images violate the multiplication law at pair {witness}", stmt.line, stmt.column)
+    if members.size != G.order:
         raise ScenarioError(
             "NotAHomomorphism",
-            f"the given elements generate a proper subgroup (order {len(elems)} of {G.order})",
+            f"the given elements generate a proper subgroup (order {members.size} of {G.order})",
             stmt.line,
             stmt.column,
         )
@@ -958,12 +917,7 @@ def _build_hexpr(expr, target, shape: _GroupShape, stmt: Stmt) -> GroupHom:
         raise ScenarioError("NameUnresolved", f"unknown builtin {expr.name!r}", stmt.line, stmt.column)
     if isinstance(expr, HMap):
         pairs = [(shape.index_of(a, stmt), shape.index_of(b, stmt)) for a, b in expr.entries]
-        arr = _expand_hom(G, G, pairs, stmt)
-        try:
-            return GroupHom(G, G, arr)
-        except NotAHomomorphism as exc:
-            x, y = exc.witness
-            raise ScenarioError("NotAHomomorphism", f"map law fails at pair ({x}, {y})", stmt.line, stmt.column)
+        return GroupHom(G, G, _expand_hom(G, G, pairs, stmt), validate=False)
     raise ScenarioError("NameUnresolved", f"bad endomorphism expression {expr!r}", stmt.line, stmt.column)
 
 

@@ -29,6 +29,7 @@ from .core import (
     ParamOutOfRange,
     Subgroup,
     _orbit_closure,
+    extend_images,
     hom_parts,
     is_normal,
     nilpotency,
@@ -544,7 +545,12 @@ def _generator_chain(G: FiniteGroup) -> list[int]:
 def _count_injective(
     G: FiniteGroup, T: FiniteGroup, witness_cap: int, budget: list[int]
 ) -> tuple[int, list[np.ndarray]]:
-    """Backtracking count of injective homomorphisms G -> T."""
+    """Backtracking count of injective homomorphisms G -> T.
+
+    A node gives the next chain generator an image and re-extends over the
+    chain so far, spending one budget unit per law check; it survives when
+    the extension is injective, a homomorphism and of order dividing |T|.
+    """
     if T.order % G.order != 0:
         return 0, []
     g_orders = G.element_orders()
@@ -555,62 +561,30 @@ def _count_injective(
         return 0, []
 
     chain = _generator_chain(G)
-    tG, tT = G.table, T.table
     count = 0
     witnesses: list[np.ndarray] = []
+    img = np.zeros(G.order, dtype=np.int32)  # shared by all nodes: each re-extends it from its generators
 
-    def extend(img: np.ndarray, used: np.ndarray, elems: list[int], level: int) -> None:
+    def extend(members: np.ndarray, level: int) -> None:
         nonlocal count
-        if len(elems) == G.order:
+        if members.size == G.order:
             count += 1
             if len(witnesses) < witness_cap:
                 witnesses.append(img.copy())
             return
         g = chain[level]
-        want = g_orders[g]
-        for h in np.flatnonzero(used == -1):
-            if t_orders[h] != want:
-                continue
-            img2 = img.copy()
-            used2 = used.copy()
-            elems2 = list(elems)
-            img2[g] = h
-            used2[h] = g
-            elems2.append(g)
-            work = [g]
-            ok = True
-            while work and ok:
-                z = work.pop()
-                for x in list(elems2):
-                    for p, q in (
-                        (tG[x, z], tT[img2[x], img2[z]]),
-                        (tG[z, x], tT[img2[z], img2[x]]),
-                    ):
-                        budget[0] -= 1
-                        if budget[0] < 0:
-                            raise SearchBudgetExceeded("injective-homomorphism search budget exhausted")
-                        p, q = int(p), int(q)
-                        if img2[p] == -1:
-                            if used2[q] != -1:
-                                ok = False
-                                break
-                            img2[p] = q
-                            used2[q] = p
-                            elems2.append(p)
-                            work.append(p)
-                        elif img2[p] != q:
-                            ok = False
-                            break
-                    if not ok:
-                        break
-            if ok and T.order % len(elems2) == 0:
-                extend(img2, used2, elems2, level + 1)
+        used = np.zeros(T.order, dtype=bool)
+        used[img[members]] = True
+        for h in np.flatnonzero(~used & (t_orders == g_orders[g])):
+            img[g] = h
+            sub, witness = extend_images(G.table, chain[: level + 1], img, lambda a, b: T.table[a, b])
+            budget[0] -= sub.size * (level + 1)
+            if budget[0] < 0:
+                raise SearchBudgetExceeded("injective-homomorphism search budget exhausted")
+            if witness is None and np.unique(img[sub]).size == sub.size and T.order % sub.size == 0:
+                extend(sub, level + 1)
 
-    img0 = np.full(G.order, -1, dtype=np.int32)
-    used0 = np.full(T.order, -1, dtype=np.int32)
-    img0[0] = 0
-    used0[0] = 0
-    extend(img0, used0, [0], 0)
+    extend(np.zeros(1, dtype=np.int64), 0)
     return count, witnesses
 
 

@@ -16,6 +16,7 @@ from math import factorial, gcd
 
 import numpy as np
 
+from .construct import is_prime
 from .core import (
     FiniteGroup,
     GroupHom,
@@ -266,7 +267,7 @@ def o_pi(G: FiniteGroup, primes) -> Subgroup:
     if not pset:
         raise ParamOutOfRange("the prime set must be non-empty")
     for p in pset:
-        if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
+        if not is_prime(p):
             raise ParamOutOfRange(f"{p} is not a prime")
     meet = np.ones(G.order, dtype=bool)
     for N in enumerate_normals(G):

@@ -43,6 +43,20 @@ class TestParse:
         assert not result.ok
         assert result.diagnostics[0].line == 1
 
+    def test_unknown_option_located_and_run_exits_2(self, tmp_path):
+        # node_budget is no option: nothing in a run reads it
+        source = "set node_budget = 1\ntower T = zp(2) depth 3\nanalyze typef(T, 2)\n"
+        result = parse(source)
+        assert not result.ok
+        d = result.diagnostics[0]
+        assert (d.line, d.column) == (1, 5)
+        assert "unknown option 'node_budget'" in d.message
+        path = tmp_path / "budget.pfg"
+        path.write_text(source)
+        from pfg.cli import main
+
+        assert main(["run", str(path)]) == 2
+
     def test_comments_and_blank_lines(self):
         result = parse("# nothing here\n\n" + PAPER_SNIPPET + "\n# trailing\n")
         assert result.ok
@@ -162,6 +176,15 @@ class TestValidate:
         resolved = validate(parse(source).spec)
         assert resolved.environment["G"][0].group.order == 10
 
+    def test_action_images_violating_relation(self):
+        # doubling on Z/5 has order 4, so it cannot be the image of the involution of C2
+        source = "group A = cyclic(2)\n  group G = semidirect(cyclic(5), cyclic(2), act {1 -> {1 -> 2}})\n"
+        with pytest.raises(ScenarioError) as exc:
+            validate(parse(source).spec)
+        assert exc.value.kind == "NotAHomomorphism"
+        assert (exc.value.line, exc.value.column) == (2, 3)
+        assert "acting pair (1, 1)" in str(exc.value)
+
     def test_table_group(self, tmp_path):
         path = tmp_path / "z4.tbl"
         path.write_text("\n".join(" ".join(str((i + j) % 4) for j in range(4)) for i in range(4)))
@@ -178,9 +201,11 @@ class TestConstructionErrorsLocated:
             ("group U = units_mod(4, 2)", "ParamOutOfRange"),
             ("group G = semidirect(cyclic(4), cyclic(3), invert)", "BadAction"),
             ('group G = table("missing.txt")', "FileNotFoundError"),
+            ('group G = table("ragged.txt")', "ParamOutOfRange"),
         ],
     )
     def test_error_is_located_and_run_exits_2(self, definition, kind, tmp_path):
+        (tmp_path / "ragged.txt").write_text("1 2\n3\n")
         source = f"group A = cyclic(2)\n  {definition}\n"
         with pytest.raises(ScenarioError) as exc:
             validate(parse(source).spec, base_dir=tmp_path)

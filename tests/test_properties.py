@@ -1,5 +1,8 @@
 """Property tests for the algebraic laws the library promises."""
 
+import itertools
+from types import SimpleNamespace
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
@@ -10,13 +13,15 @@ from pfg.core import (
     NotAssociative,
     _orbit_closure,
     closure,
+    extend_images,
     hom_parts,
     is_normal,
     preimage,
     quotient,
     subgroup_as_group,
 )
-from pfg.endo import contraction, shrinkind_check
+from pfg.dsl import ScenarioError, _expand_hom
+from pfg.endo import contraction, hom_search, shrinkind_check
 from pfg.lattice import all_subgroups, enumerate_normals, o_pi, is_pi_number, residual_intersection, AutoSet
 
 
@@ -230,3 +235,97 @@ def test_orbit_closure_matches_all_generator_oracle(data):
             gens += [a, int(G.table[a, b])]
         gens = data.draw(st.permutations(gens))
     assert np.array_equal(_orbit_closure(G.table, gens), _orbit_closure_all_generators(G.table, gens))
+
+
+def _extend_pairwise(tG: np.ndarray, tH: np.ndarray, pairs) -> tuple[np.ndarray, np.ndarray] | None:
+    """Oracle: close the given elements under products on both sides and
+    check the law on every pair met.  None when an element is given two
+    images or the law fails, else (members, images)."""
+    img = np.full(tG.shape[0], -1, dtype=np.int64)
+    img[0] = 0
+    elems, work = [0], []
+    for x, y in pairs:
+        if img[x] != -1 and img[x] != y:
+            return None
+        if img[x] == -1:
+            img[x] = y
+            elems.append(x)
+            work.append(x)
+    while work:
+        z = work.pop()
+        for x in list(elems):
+            for p, q in ((tG[x, z], tH[img[x], img[z]]), (tG[z, x], tH[img[z], img[x]])):
+                if img[p] == -1:
+                    img[p] = q
+                    elems.append(p)
+                    work.append(p)
+                elif img[p] != q:
+                    return None
+    return np.sort(elems), img
+
+
+HOM_ENTRIES = builtin_entries(60)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_extend_images_matches_pairwise_oracle(data):
+    entry = data.draw(st.sampled_from(HOM_ENTRIES))
+    G = entry.group
+    keys = data.draw(st.lists(st.integers(0, G.order - 1), max_size=4))
+    if data.draw(st.booleans()):
+        # images under a known endomorphism always extend
+        f = data.draw(st.sampled_from(entry.endos))
+        H, pairs = G, [(x, int(f.map[x])) for x in keys]
+    else:
+        H = data.draw(st.sampled_from(HOM_ENTRIES)).group
+        pairs = [(x, data.draw(st.integers(0, H.order - 1))) for x in keys]
+    if keys:
+        # a key given again, with a drawn image that may conflict
+        for x in data.draw(st.lists(st.sampled_from(keys), max_size=2)):
+            pairs.append((x, data.draw(st.integers(0, H.order - 1))))
+    want = _extend_pairwise(G.table, H.table, pairs)
+
+    given_images = {0: 0}
+    if all(given_images.setdefault(x, y) == y for x, y in pairs):
+        img = np.zeros(G.order, dtype=np.int64)
+        img[list(given_images)] = list(given_images.values())
+        members, witness = extend_images(G.table, list(given_images), img, lambda a, b: H.table[a, b])
+        assert (witness is None) == (want is not None)
+        if want is not None:
+            assert np.array_equal(members, want[0])
+            assert np.array_equal(img[members], want[1][members])
+        else:
+            x, g = witness
+            assert img[G.table[x, g]] != H.table[img[x], img[g]]
+    else:
+        assert want is None
+
+    try:
+        got = _expand_hom(G, H, pairs, SimpleNamespace(line=1, column=1))
+    except ScenarioError as exc:
+        assert exc.kind == "NotAHomomorphism"
+        got = None
+    full = want is not None and want[0].size == G.order
+    assert (got is not None) == full
+    if full:
+        assert np.array_equal(got, want[1])
+
+
+def test_hom_search_matches_brute_force():
+    """Counts and witnesses of injective homomorphisms equal those found by
+    trying every image tuple for the generators with the pairwise oracle."""
+    groups = [e.group for e in builtin_entries(16)]
+    for G, T in itertools.product(groups, groups):
+        res = hom_search(G, T, witness_cap=T.order**2)
+        if T.order % G.order:
+            assert res.count == 0
+            continue
+        gens = G.generators()
+        maps = set()
+        for images in itertools.product(range(T.order), repeat=len(gens)):
+            got = _extend_pairwise(G.table, T.table, list(zip(gens, images)))
+            if got is not None and got[0].size == G.order and np.unique(got[1]).size == G.order:
+                maps.add(tuple(got[1].tolist()))
+        assert res.count == len(res.witnesses) == len(maps), (G, T)
+        assert {tuple(w.map.tolist()) for w in res.witnesses} == maps, (G, T)
