@@ -73,31 +73,45 @@ class DomainMismatch(GroupError):
     pass
 
 
-def _orbit_closure(table: np.ndarray, gens: Sequence[int]) -> np.ndarray:
+def _orbit_closure(table: np.ndarray, gens: Sequence[int], closed: np.ndarray | None = None) -> np.ndarray:
     """Boolean membership array of the subgroup generated by ``gens``.
 
-    Breadth-first saturation: the orbit of the identity under right
-    multiplication by the generators.  In a finite group the set of all
-    words in the generators is already closed under inverses.  Generators
-    are adjoined one at a time and skipped when the closure so far already
-    holds them.  The closure so far is a subgroup, closed under the earlier
-    generators, so after adjoining g only its products with g can be new
-    at first, and the search goes on from those alone.
+    Dimino's coset enumeration, starting from ``closed`` (the closure of
+    some of ``gens``) when given.  Adjoining g to the closed subgroup H so
+    far walks whole right cosets H*y: the powers of g while they stay
+    outside H, whose distinct cosets fill at most n entries in one gather,
+    then breadth-first over representatives r, where each unseen r*s for a
+    generator s adds ``table[H, r*s]``.  No temporary exceeds O(n) entries.
+    The power walk stops after n/|H| steps: a corrupted table need not
+    cycle back.  Every marked element is a table product of elements
+    marked before it; Light's test in ``_scan_associativity`` runs on this
+    closure before associativity is proved and is exact only under that.
     """
     n = table.shape[0]
-    seen = np.zeros(n, dtype=bool)
+    seen = np.zeros(n, dtype=bool) if closed is None else closed.copy()
     seen[0] = True
-    adjoined: list[int] = []
-    for g in np.unique(np.asarray(list(gens), dtype=np.int32)).tolist():
+    glist = sorted(set(np.asarray(gens, dtype=np.int64).ravel().tolist()))
+    mults = [g for g in glist if g and seen[g]]
+    for g in glist:
         if seen[g]:
             continue
-        adjoined.append(g)
-        prods = table[np.flatnonzero(seen), g]
-        frontier = prods[~seen[prods]]
-        while frontier.size:
-            seen[frontier] = True
-            prods = np.unique(table[np.ix_(frontier, adjoined)])
-            frontier = prods[~seen[prods]]
+        mults.append(g)
+        sub = seen.nonzero()[0][:, None]
+        reps, y = [], g
+        while not seen[y] and len(reps) < n // sub.size:
+            reps.append(y)
+            y = int(table[y, g])
+        if sub.size == 1:  # H is trivial: <g> is the powers of g
+            seen[reps] = True
+            continue
+        seen[table[sub, reps]] = True
+        while reps and not seen.all():
+            prods = table[np.asarray(reps)[:, None], mults].ravel()
+            reps = []
+            for y in prods[~seen[prods]].tolist():
+                if not seen[y]:
+                    seen[table[sub, y]] = True
+                    reps.append(y)
     return seen
 
 
@@ -141,13 +155,12 @@ def extend_images(
 
 def _greedy_generators(table: np.ndarray) -> list[int]:
     """Small generating set found by adjoining the least uncovered element."""
-    n = table.shape[0]
     gens: list[int] = []
-    seen = np.zeros(n, dtype=bool)
+    seen = np.zeros(table.shape[0], dtype=bool)
     seen[0] = True
     while not seen.all():
-        gens.append(int(np.flatnonzero(~seen)[0]))
-        seen = _orbit_closure(table, gens)
+        gens.append(int(np.argmin(seen)))
+        seen = _orbit_closure(table, gens, seen)
     return gens
 
 
@@ -228,6 +241,8 @@ class FiniteGroup:
         self.label = label
         self._element_orders: np.ndarray | None = None
         self._generators: list[int] | None = gens
+        # filled once by lattice.enumerate_normals; a race only computes it twice
+        self._normals: tuple[Subgroup, ...] | None = None
 
     @staticmethod
     def _find_identity(t: np.ndarray) -> int | None:
@@ -309,13 +324,19 @@ class Subgroup:
 
     @staticmethod
     def _validate_closed(parent: FiniteGroup, bools: np.ndarray) -> None:
+        """Closure proved on greedy generators: each closure stays in the set, the last fills it."""
         if not bools[0]:
             raise GroupError("subgroup must contain the identity")
-        m = np.flatnonzero(bools)
-        if not bools[parent.inv[m]].all():
+        if not bools[parent.inv[bools]].all():
             raise GroupError("set is not closed under inverses")
-        if not bools[parent.table[np.ix_(m, m)]].all():
-            raise GroupError("set is not closed under multiplication")
+        gens: list[int] = []
+        reached = np.zeros_like(bools)
+        reached[0] = True
+        while (missing := bools > reached).any():
+            gens.append(int(np.argmax(missing)))
+            reached = _orbit_closure(parent.table, gens, reached)
+            if (reached > bools).any():
+                raise GroupError("set is not closed under multiplication")
 
     @property
     def bools(self) -> np.ndarray:

@@ -848,12 +848,14 @@ def _build_action(action, N: FiniteGroup, H: FiniteGroup, ns: _GroupShape, hs: _
         # the H -> Aut(N) homomorphism from the images of acting generators
         act = np.zeros((H.order, N.order), dtype=np.int32)
         act[0] = np.arange(N.order, dtype=np.int32)
-        gens = []
+        given: dict[int, np.ndarray] = {}
         for h_expr, pairs in action.entries:
             h = hs.index_of(h_expr, stmt)
-            act[h] = _expand_hom(N, N, [(ns.index_of(a, stmt), ns.index_of(b, stmt)) for a, b in pairs], stmt)
-            gens.append(h)
-        members, witness = extend_images(H.table, gens, act, lambda a, b: a[:, b])
+            row = _expand_hom(N, N, [(ns.index_of(a, stmt), ns.index_of(b, stmt)) for a, b in pairs], stmt)
+            if not np.array_equal(given.setdefault(h, row), row):
+                raise ScenarioError("NotAHomomorphism", f"conflicting images for acting element {h}", stmt.line, stmt.column)
+            act[h] = row
+        members, witness = extend_images(H.table, list(given), act, lambda a, b: a[:, b])
         if witness is not None:
             raise ScenarioError("NotAHomomorphism", f"action images conflict at acting pair {witness}", stmt.line, stmt.column)
         if members.size != H.order:

@@ -538,7 +538,7 @@ def _generator_chain(G: FiniteGroup) -> list[int]:
         cands = np.flatnonzero(~bools)
         g = int(cands[np.argmax(orders[cands])])
         chain.append(g)
-        bools = _orbit_closure(G.table, chain)
+        bools = _orbit_closure(G.table, chain, bools)
     return chain
 
 
@@ -605,13 +605,13 @@ def hom_search(
     if isinstance(target, Subgroup):
         T, incl = subgroup_as_group(target.parent, target)
         count, raw = _count_injective(G, T, witness_cap, budget)
-        witnesses = tuple(GroupHom(G, target.parent, incl.map[w], validate=True) for w in raw)
+        witnesses = tuple(GroupHom(G, target.parent, incl.map[w], validate=False) for w in raw)
         simple_witness = None
         if count == 0 and target.parent is G:
             simple_witness = _find_simple_witness(G, witness_cap, budget)
         return HomSearchResult(count, witnesses, simple_witness)
     count, raw = _count_injective(G, target, witness_cap, budget)
-    return HomSearchResult(count, tuple(GroupHom(G, target, w, validate=True) for w in raw), None)
+    return HomSearchResult(count, tuple(GroupHom(G, target, w, validate=False) for w in raw), None)
 
 
 def _find_simple_witness(G: FiniteGroup, witness_cap: int, budget: list[int]) -> SimpleWitness | None:

@@ -93,7 +93,7 @@ def _adjunction_enumeration(G: FiniteGroup, budget: _Budget) -> tuple[list[tuple
             if bools[r]:
                 continue
             new_gens = gens + (int(r),)
-            new = _orbit_closure(t, new_gens)
+            new = _orbit_closure(t, new_gens, bools)
             if not budget.spend(int(new.sum()) * len(new_gens)):
                 complete = False
                 queue.clear()
@@ -164,7 +164,14 @@ def enumerate_normals(G: FiniteGroup) -> list[Subgroup]:
     of the class closures it contains, so saturating the class closures under
     joins with seeds reaches the whole normal lattice (which is then closed
     under meet automatically; a meet of normals is again a union of classes).
+    The lattice is computed once per group and kept on it.
     """
+    if G._normals is None:
+        G._normals = _normal_lattice(G)
+    return list(G._normals)
+
+
+def _normal_lattice(G: FiniteGroup) -> tuple[Subgroup, ...]:
     t = G.table
     seeds: dict[bytes, np.ndarray] = {}
     for cls in conjugacy_classes(G):
@@ -186,8 +193,7 @@ def enumerate_normals(G: FiniteGroup) -> list[Subgroup]:
                 found[key] = join
                 work.append(join)
     subs = [Subgroup(G, b, _checked=True) for b in found.values()]
-    subs.sort(key=lambda s: (s.size, s.members.tobytes()))
-    return subs
+    return tuple(sorted(subs, key=lambda s: (s.size, s.members.tobytes())))
 
 
 def _lcm_up_to(cap: int) -> int:
@@ -219,7 +225,7 @@ def normals_up_to_index(G: FiniteGroup, cap: int) -> list[Subgroup]:
     if cap < 1:
         raise ParamOutOfRange("index bound must be >= 1")
     if cap >= G.order:
-        return list(enumerate_normals(G))
+        return enumerate_normals(G)
     verbal = _orbit_closure(G.table, np.unique(_power_map(G, _lcm_up_to(cap))))
     if int(verbal.sum()) == 1:
         return [N for N in enumerate_normals(G) if N.index <= cap]
@@ -257,23 +263,18 @@ def prime_factors(m: int) -> set[int]:
     return out
 
 
-def is_pi_number(m: int, primes: frozenset[int] | set[int]) -> bool:
-    return prime_factors(m) <= set(primes)
-
-
 def o_pi(G: FiniteGroup, primes) -> Subgroup:
-    """Smallest normal subgroup whose quotient order involves only ``primes``."""
+    """Smallest normal subgroup whose quotient order involves only ``primes``:
+    the closure of the pi'-elements (orders prime to pi), which die in every
+    pi-quotient; by Cauchy the quotient by it has no prime outside pi."""
     pset = {int(p) for p in primes}
     if not pset:
         raise ParamOutOfRange("the prime set must be non-empty")
     for p in pset:
         if not is_prime(p):
             raise ParamOutOfRange(f"{p} is not a prime")
-    meet = np.ones(G.order, dtype=bool)
-    for N in enumerate_normals(G):
-        if is_pi_number(N.index, pset):
-            meet &= N.bools
-    return Subgroup(G, meet, _checked=True)
+    coprime = np.all([G.element_orders() % p != 0 for p in pset], axis=0)
+    return Subgroup(G, _orbit_closure(G.table, np.flatnonzero(coprime)), _checked=True)
 
 
 @dataclass(frozen=True)

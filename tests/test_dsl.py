@@ -185,6 +185,25 @@ class TestValidate:
         assert (exc.value.line, exc.value.column) == (2, 3)
         assert "acting pair (1, 1)" in str(exc.value)
 
+    def test_action_repeated_acting_element_located_and_run_exits_2(self, tmp_path):
+        # two different automorphisms given for the same acting element
+        source = "group A = cyclic(2)\n  group G = semidirect(cyclic(5), cyclic(4), act {1 -> {1 -> 2}, 1 -> {1 -> 3}})\n"
+        with pytest.raises(ScenarioError) as exc:
+            validate(parse(source).spec)
+        assert exc.value.kind == "NotAHomomorphism"
+        assert (exc.value.line, exc.value.column) == (2, 3)
+        assert "conflicting images for acting element 1" in str(exc.value)
+        path = tmp_path / "bad.pfg"
+        path.write_text(source)
+        from pfg.cli import main
+
+        assert main(["run", str(path)]) == 2
+
+    def test_action_repeated_acting_element_same_images(self):
+        source = "group G = semidirect(cyclic(5), cyclic(4), act {1 -> {1 -> 2}, 1 -> {1 -> 2}})\n"
+        resolved = validate(parse(source).spec)
+        assert resolved.environment["G"][0].group.order == 20
+
     def test_table_group(self, tmp_path):
         path = tmp_path / "z4.tbl"
         path.write_text("\n".join(" ".join(str((i + j) % 4) for j in range(4)) for i in range(4)))

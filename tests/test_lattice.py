@@ -12,6 +12,7 @@ from pfg.lattice import (
     enumerate_subgroups,
     o_pi,
     o_pi_of_subgroup,
+    prime_factors,
     residual_intersection,
     _adjunction_enumeration,
     _Budget,
@@ -20,6 +21,11 @@ from pfg.lattice import (
 
 def s3():
     return dihedral(3).group
+
+
+def is_pi_number(m: int, primes) -> bool:
+    """Oracle helper: every prime factor of m lies in ``primes``."""
+    return prime_factors(m) <= set(primes)
 
 
 class TestEnumerateSubgroups:
@@ -164,16 +170,12 @@ class TestOPi:
         assert o_pi(G, {3}).is_whole
 
     def test_quotient_is_pi_number(self):
-        from pfg.lattice import is_pi_number
-
         G = dihedral(6).group
         for primes in ({2}, {3}, {2, 3}):
             N = o_pi(G, primes)
             assert is_pi_number(G.order // N.size, primes)
 
     def test_minimality(self):
-        from pfg.lattice import is_pi_number
-
         G = dihedral(6).group
         for primes in ({2}, {3}):
             N = o_pi(G, primes)
@@ -189,7 +191,6 @@ class TestOPi:
 
     def test_subgroup_matches_parent_for_core_primes(self):
         from pfg.core import normality_ops
-        from pfg.lattice import prime_factors
 
         G = unit_semidirect_level(3, 2).group
         for H in all_subgroups(G).entries:

@@ -1,6 +1,8 @@
 """Property tests for the algebraic laws the library promises."""
 
 import itertools
+import signal
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,6 +13,7 @@ from pfg.core import (
     FiniteGroup,
     GroupError,
     NotAssociative,
+    Subgroup,
     _orbit_closure,
     closure,
     extend_images,
@@ -22,7 +25,8 @@ from pfg.core import (
 )
 from pfg.dsl import ScenarioError, _expand_hom
 from pfg.endo import contraction, hom_search, shrinkind_check
-from pfg.lattice import all_subgroups, enumerate_normals, o_pi, is_pi_number, residual_intersection, AutoSet
+from pfg.construct import cyclic, is_prime
+from pfg.lattice import all_subgroups, enumerate_normals, o_pi, prime_factors, residual_intersection, AutoSet
 
 
 def _scan_associativity_full(table: np.ndarray) -> None:
@@ -56,6 +60,31 @@ def _orbit_closure_all_generators(table: np.ndarray, gens) -> np.ndarray:
         frontier = prods[~seen[prods]]
         seen[frontier] = True
     return seen
+
+
+def is_pi_number(m: int, primes) -> bool:
+    """Oracle helper: every prime factor of m lies in ``primes``."""
+    return prime_factors(m) <= set(primes)
+
+
+def _o_pi_meet(G: FiniteGroup, primes) -> np.ndarray:
+    """Oracle: meet of all normal subgroups whose index is a pi-number."""
+    meet = np.ones(G.order, dtype=bool)
+    for N in enumerate_normals(G):
+        if is_pi_number(N.index, primes):
+            meet &= N.bools
+    return meet
+
+
+def _validate_closed_quadratic(G: FiniteGroup, bools: np.ndarray) -> None:
+    """Oracle: identity, inverses, then every product of two members."""
+    if not bools[0]:
+        raise GroupError("subgroup must contain the identity")
+    m = np.flatnonzero(bools)
+    if not bools[G.inv[m]].all():
+        raise GroupError("set is not closed under inverses")
+    if not bools[G.table[np.ix_(m, m)]].all():
+        raise GroupError("set is not closed under multiplication")
 
 
 ENTRIES = [e for e in builtin_entries(100)]
@@ -329,3 +358,86 @@ def test_hom_search_matches_brute_force():
                 maps.add(tuple(got[1].tolist()))
         assert res.count == len(res.witnesses) == len(maps), (G, T)
         assert {tuple(w.map.tolist()) for w in res.witnesses} == maps, (G, T)
+
+
+def test_o_pi_matches_meet_oracle_for_every_prime_set():
+    for entry in ENTRIES:
+        G = entry.group
+        primes = sorted(prime_factors(G.order))
+        outside = next(q for q in range(2, 200) if is_prime(q) and G.order % q)
+        for k in range(len(primes) + 1):
+            for subset in itertools.combinations(primes, k):
+                for pset in ({*subset}, {*subset, outside}):
+                    if pset:
+                        assert np.array_equal(o_pi(G, pset).bools, _o_pi_meet(G, pset)), (G, pset)
+
+
+def _outcome(check, G, bools):
+    try:
+        check(G, bools)
+    except GroupError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_validate_closed_matches_quadratic_oracle(data):
+    G = data.draw(st.sampled_from(CLOSURE_GROUPS))
+    gens = data.draw(st.lists(st.integers(0, G.order - 1), max_size=3))
+    bools = _orbit_closure(G.table, gens)
+    kind = data.draw(st.sampled_from(["subgroup", "union", "inverse_closed", "flipped"]))
+    if kind == "union":
+        # two subgroups together: inverse-closed, rarely closed under products
+        bools = bools | _orbit_closure(G.table, data.draw(st.lists(st.integers(0, G.order - 1), max_size=2)))
+    elif kind == "inverse_closed":
+        picked = data.draw(st.lists(st.integers(0, G.order - 1), max_size=8))
+        bools = bools.copy()
+        bools[picked] = True
+        bools[G.inv[picked]] = True
+    elif kind == "flipped":
+        bools = bools.copy()
+        for x in data.draw(st.lists(st.integers(0, G.order - 1), min_size=1, max_size=3)):
+            bools[x] = not bools[x]
+    want = _outcome(_validate_closed_quadratic, G, bools)
+    assert _outcome(Subgroup._validate_closed, G, bools) == want
+    if want is None:
+        assert Subgroup(G, bools).size == int(bools.sum())
+
+
+def test_power_walk_that_never_returns_ends_in_group_error():
+    # Z/60 with 30*1 rewired to 1: the powers of 1 cycle through 1..30 and
+    # never reach the identity, while identity and inverses still look fine
+    t = cyclic(60).table.copy()
+    t[30, 1] = 1
+
+    def give_up(signum, frame):
+        raise TimeoutError("closure did not stop")
+
+    previous = signal.signal(signal.SIGALRM, give_up)
+    signal.alarm(20)
+    try:
+        seen = _orbit_closure(t, [1])
+        assert np.array_equal(np.flatnonzero(seen), np.arange(31))
+        try:
+            FiniteGroup(t)
+        except NotAssociative as exc:
+            x, y, z = exc.triple
+            assert t[t[x, y], z] != t[x, t[y, z]]
+        else:
+            raise AssertionError("corrupted table accepted")
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_orbit_closure_of_long_cycle_stays_small():
+    table = cyclic(4374).table
+    tracemalloc.start()
+    try:
+        seen = _orbit_closure(table, [1])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert seen.all()
+    assert peak < 2 * 2**20, peak
