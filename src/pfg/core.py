@@ -76,12 +76,14 @@ class DomainMismatch(GroupError):
 def _orbit_closure(table: np.ndarray, gens: Sequence[int], closed: np.ndarray | None = None) -> np.ndarray:
     """Boolean membership array of the subgroup generated by ``gens``.
 
-    Dimino's coset enumeration, starting from ``closed`` (the closure of
-    some of ``gens``) when given.  Adjoining g to the closed subgroup H so
-    far walks whole right cosets H*y: the powers of g while they stay
-    outside H, whose distinct cosets fill at most n entries in one gather,
-    then breadth-first over representatives r, where each unseen r*s for a
-    generator s adds ``table[H, r*s]``.  No temporary exceeds O(n) entries.
+    Dimino's coset enumeration, starting from ``closed`` when given: the
+    closure of some of ``gens``, or a normal subgroup (whose elements move
+    no coset of a subgroup containing it), which the result then contains.
+    Adjoining g to the closed subgroup H so far walks whole right cosets
+    H*y: the powers of g while they stay outside H, whose distinct cosets
+    fill at most n entries in one gather, then breadth-first over
+    representatives r, where each unseen r*s for a generator s adds
+    ``table[H, r*s]``.  No temporary exceeds O(n) entries.
     The power walk stops after n/|H| steps: a corrupted table need not
     cycle back.  Every marked element is a table product of elements
     marked before it; Light's test in ``_scan_associativity`` runs on this

@@ -139,6 +139,27 @@ def _deep_power(f_arr: np.ndarray) -> np.ndarray:
     return r
 
 
+def _window_all(f_arr: np.ndarray, good: np.ndarray, start: int, steps: int) -> np.ndarray:
+    """Whether good[f^m(x)] holds for every m in [start, start + W), for each x.
+
+    W is the least power of two >= steps.  Path doubling: ``acc`` is the AND
+    over a window of ``width`` steps from each point and ``jump`` is
+    f^width, so one round doubles both; the bits of ``start`` move ``pos``
+    to f^start on the way.  O(log(start + steps)) gathers in all.  Shares
+    nothing with the power chain or the cycle walk it is an oracle for.
+    """
+    pos = np.arange(f_arr.shape[0], dtype=f_arr.dtype)
+    acc, jump, width = good, f_arr, 1
+    while width < steps or width <= start:
+        if start & width:
+            pos = jump[pos]
+        if width < steps:
+            acc = acc & acc[jump]
+        jump = jump[jump]
+        width *= 2
+    return acc[pos]
+
+
 def contraction(f: GroupHom) -> ContractionReport:
     """Stabilized kernel (contraction) and stabilized image of an endomorphism."""
     require_endo(f)
@@ -147,13 +168,10 @@ def contraction(f: GroupHom) -> ContractionReport:
     con = Subgroup(G, powers[depth] == 0, _checked=True)
     stable = Subgroup(G, np.unique(powers[depth]), _checked=True)
 
-    # orbit-simulation oracle: x contracts iff some iterate of x hits the identity
+    # orbit-simulation oracle: x contracts iff some iterate f^m(x), m >= 1,
+    # is the identity; the iterates with m in [1, n] are all there are
     n = G.order
-    y = f.map.copy()
-    hit = y == 0
-    for _ in range(min(2 * n, n + 2)):
-        y = f.map[y]
-        hit |= y == 0
+    hit = ~_window_all(f.map, np.arange(n) != 0, 1, n + 1)
     orbit_ok = bool(np.array_equal(hit, con.bools))
 
     # independent formulation: the eventual cycle of x is the singleton {identity}
@@ -375,15 +393,10 @@ def semigroup_contraction(
     powers, depth = _power_chain(tau)
     con_fast, stable_fast = _eventual_cycle_containment(tau, K.bools)
 
-    # simulation oracle: run 2n steps of the tail map and demand membership
-    # in K throughout the second half (which covers every eventual cycle)
+    # simulation oracle: membership in K of tau^m(x) for m from n on, a
+    # window of more than n steps (which covers every eventual cycle)
     n = G.order
-    y = np.arange(n, dtype=np.int32)
-    sim = np.ones(n, dtype=bool)
-    for step in range(2 * n):
-        y = tau[y]
-        if step >= n - 1:
-            sim &= K.bools[y]
+    sim = _window_all(tau, K.bools, n, n + 1)
 
     checks: dict[str, bool] = {"simulation_oracle_agrees": bool(np.array_equal(sim, con_fast))}
     con_bools, stable_bools = con_fast, stable_fast

@@ -173,21 +173,21 @@ def enumerate_normals(G: FiniteGroup) -> list[Subgroup]:
 
 def _normal_lattice(G: FiniteGroup) -> tuple[Subgroup, ...]:
     t = G.table
-    seeds: dict[bytes, np.ndarray] = {}
+    seeds: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
     for cls in conjugacy_classes(G):
         b = _orbit_closure(t, cls)
-        seeds.setdefault(b.tobytes(), b)
+        seeds.setdefault(b.tobytes(), (b, cls))
     seed_list = list(seeds.values())
-    found = dict(seeds)
-    work = list(seed_list)
+    found = {key: b for key, (b, _) in seeds.items()}
+    work = list(found.values())
     while work:
         a = work.pop()
-        am = np.flatnonzero(a)
-        for s in seed_list:
+        for s, cls in seed_list:
             if not (s & ~a).any():  # seed inside a: join is a itself
                 continue
-            join = np.zeros(G.order, dtype=bool)
-            join[np.unique(t[np.ix_(am, np.flatnonzero(s))])] = True
+            # a is normal and cls is closed under conjugation, so extending
+            # the closed a by cls gives the join a*s
+            join = _orbit_closure(t, cls, a)
             key = join.tobytes()
             if key not in found:
                 found[key] = join

@@ -257,6 +257,8 @@ def _run_single(analysis: ResolvedAnalysis) -> list[AnalysisRecord]:
         rows = [(target, "budget_exceeded", {"reason": str(exc)})]
     except GroupError as exc:
         rows = [(target, "fail", {"error": str(exc)})]
+    except Exception as exc:  # any other fault fails this record, not the batch
+        rows = [(target, "fail", {"error": f"{type(exc).__name__}: {exc}"})]
     ms = (time.perf_counter() - t0) * 1000.0
     return [AnalysisRecord(kind, t, status, _json_safe(details), ms) for t, status, details in rows]
 

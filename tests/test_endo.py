@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from pfg import endo
 from pfg.catalog import paper_example_level
 from pfg.construct import cyclic, dihedral, scale_first_map
 from pfg.core import (
@@ -54,6 +55,19 @@ class TestContraction:
         rep = contraction(GroupHom(G, G, [(2 * x) % 8 for x in range(8)]))
         assert rep.con.is_whole and rep.stable_image.is_trivial and rep.depth == 3
         assert [s.size for s in rep.kernel_chain] == [1, 2, 4, 8, 8]
+
+    def test_orbit_oracle_catches_a_power_chain_one_step_short(self, monkeypatch):
+        real = endo._power_chain
+
+        def one_short(f_arr):
+            powers, depth = real(f_arr)
+            return powers[:-1], depth - 1
+
+        monkeypatch.setattr(endo, "_power_chain", one_short)
+        G = cyclic(8)
+        rep = contraction(GroupHom(G, G, [(2 * x) % 8 for x in range(8)]))
+        assert rep.con.size == 4  # ker f^2, where the whole group contracts
+        assert not rep.checks["orbit_oracle_agrees"]
 
     def test_kernel_chain_strictly_ascends_then_stabilizes(self):
         sd, phi = paper_example_level(3, 3)

@@ -16,6 +16,7 @@ from pfg.core import (
     Subgroup,
     _orbit_closure,
     closure,
+    conjugation_hom,
     extend_images,
     hom_parts,
     is_normal,
@@ -24,9 +25,17 @@ from pfg.core import (
     subgroup_as_group,
 )
 from pfg.dsl import ScenarioError, _expand_hom
-from pfg.endo import contraction, hom_search, shrinkind_check
+from pfg.endo import _window_all, contraction, hom_search, shrinkind_check
 from pfg.construct import cyclic, is_prime
-from pfg.lattice import all_subgroups, enumerate_normals, o_pi, prime_factors, residual_intersection, AutoSet
+from pfg.lattice import (
+    AutoSet,
+    all_subgroups,
+    conjugacy_classes,
+    enumerate_normals,
+    o_pi,
+    prime_factors,
+    residual_intersection,
+)
 
 
 def _scan_associativity_full(table: np.ndarray) -> None:
@@ -85,6 +94,51 @@ def _validate_closed_quadratic(G: FiniteGroup, bools: np.ndarray) -> None:
         raise GroupError("set is not closed under inverses")
     if not bools[G.table[np.ix_(m, m)]].all():
         raise GroupError("set is not closed under multiplication")
+
+
+def _orbit_hits_identity_loop(f_arr: np.ndarray) -> np.ndarray:
+    """Oracle: f^1, then n+2 more gathers; x is marked when some f^m(x),
+    m in [1, n+3], is the identity."""
+    n = f_arr.shape[0]
+    y = f_arr.copy()
+    hit = y == 0
+    for _ in range(min(2 * n, n + 2)):
+        y = f_arr[y]
+        hit |= y == 0
+    return hit
+
+
+def _simulation_loop(tau: np.ndarray, k_bools: np.ndarray) -> np.ndarray:
+    """Oracle: 2n steps of tau, demanding membership in K for m in [n, 2n]."""
+    n = tau.shape[0]
+    y = np.arange(n)
+    sim = np.ones(n, dtype=bool)
+    for step in range(2 * n):
+        y = tau[y]
+        if step >= n - 1:
+            sim &= k_bools[y]
+    return sim
+
+
+def _normal_lattice_product_joins(G: FiniteGroup) -> set[bytes]:
+    """Oracle: class closures saturated under joins formed as product sets a*s."""
+    t = G.table
+    seeds = {}
+    for cls in conjugacy_classes(G):
+        b = _orbit_closure_all_generators(t, cls)
+        seeds.setdefault(b.tobytes(), b)
+    found = dict(seeds)
+    work = list(seeds.values())
+    while work:
+        a = work.pop()
+        am = np.flatnonzero(a)
+        for s in seeds.values():
+            join = np.zeros(G.order, dtype=bool)
+            join[np.unique(t[np.ix_(am, np.flatnonzero(s))])] = True
+            if join.tobytes() not in found:
+                found[join.tobytes()] = join
+                work.append(join)
+    return set(found)
 
 
 ENTRIES = [e for e in builtin_entries(100)]
@@ -441,3 +495,73 @@ def test_orbit_closure_of_long_cycle_stays_small():
         tracemalloc.stop()
     assert seen.all()
     assert peak < 2 * 2**20, peak
+
+
+def test_normal_lattice_matches_product_join_oracle():
+    for entry in ENTRIES:
+        G = entry.group
+        assert {N.bools.tobytes() for N in enumerate_normals(G)} == _normal_lattice_product_joins(G), G
+
+
+def _orbit_by_doubling(f_arr: np.ndarray) -> np.ndarray:
+    n = f_arr.shape[0]
+    return ~_window_all(f_arr, np.arange(n) != 0, 1, n + 1)
+
+
+def _tail_into_cycle(rng: np.random.Generator, n: int, c: int, identity_on_cycle: bool) -> tuple[np.ndarray, np.ndarray]:
+    """A map whose points perm[:c] form a tail feeding the cycle perm[c:]."""
+    perm = rng.permutation(n)
+    if identity_on_cycle:  # the tail runs into the identity, c steps from its far end
+        i = int(np.flatnonzero(perm == 0)[0])
+        perm[[i, c]] = perm[[c, i]]
+    f = np.empty(n, dtype=np.int64)
+    f[perm[:c]] = perm[1 : c + 1]
+    f[perm[c:]] = np.roll(perm[c:], -1)
+    return f, perm
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_window_all_matches_step_loops(data):
+    n = data.draw(st.integers(1, 300))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    kind = data.draw(st.sampled_from(["random", "tail_into_cycle", "tail_into_identity"]))
+    if kind == "random":
+        f = rng.integers(0, n, size=n)
+        k = rng.random(n) < data.draw(st.sampled_from([0.5, 0.9, 1.0]))
+    else:
+        c = data.draw(st.integers(0, n - 1))
+        f, perm = _tail_into_cycle(rng, n, c, kind == "tail_into_identity")
+        k = np.ones(n, dtype=bool)
+        # K misses exactly one cycle element, or only a tail element
+        if c and data.draw(st.booleans()):
+            k[perm[data.draw(st.integers(0, c - 1))]] = False
+        else:
+            k[perm[data.draw(st.integers(c, n - 1))]] = False
+    assert np.array_equal(_orbit_by_doubling(f), _orbit_hits_identity_loop(f))
+    assert np.array_equal(_window_all(f, k, n, n + 1), _simulation_loop(f, k))
+
+
+def test_window_all_on_paper_levels_and_too_short_a_window():
+    for p, k in ((2, 6), (7, 2)):  # orders 2048 and 2058
+        sd, phi = paper_example_level(p, k)
+        G = sd.group
+        conj = conjugation_hom(G, int(sd.acting_part.members[1]))
+        for f in (phi.map, phi.map[conj.map]):
+            assert np.array_equal(_orbit_by_doubling(f), _orbit_hits_identity_loop(f))
+            for K in (sd.normal_part, sd.acting_part):
+                assert np.array_equal(_window_all(f, K.bools, G.order, G.order + 1), _simulation_loop(f, K.bools))
+
+    # the window is the least power of two above n, here 512; half of it
+    # misses the far end of a 299-step tail and most of a 300-cycle
+    n = 300
+    rng = np.random.default_rng(5)
+    f, _ = _tail_into_cycle(rng, n, n - 1, True)
+    want = _orbit_hits_identity_loop(f)
+    assert np.array_equal(_orbit_by_doubling(f), want)
+    assert not np.array_equal(~_window_all(f, np.arange(n) != 0, 1, 256), want)
+    f, perm = _tail_into_cycle(rng, n, 0, False)
+    k = perm != perm[0]
+    want = _simulation_loop(f, k)
+    assert np.array_equal(_window_all(f, k, n, n + 1), want)
+    assert not np.array_equal(_window_all(f, k, n, 256), want)

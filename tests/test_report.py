@@ -1,15 +1,17 @@
 """Runner semantics, emit formats, determinism, CLI exit codes."""
 
 import json
+from importlib import resources
 from pathlib import Path
 
 import pytest
 
 from pfg.cli import main, run_demo
 from pfg.dsl import parse, validate
-from pfg.report import AnalysisRecord, Report, RunConfig, emit, run
+from pfg.report import ANALYSES, AnalysisRecord, AnalysisSpec, Report, RunConfig, emit, run
 
-GOLDEN = Path(__file__).parent / "golden" / "demo_p3_d2.json"
+GOLDEN_DIR = Path(__file__).parent / "golden"
+GOLDEN = GOLDEN_DIR / "demo_p3_d2.json"
 
 
 def run_source(source: str, jobs: int = 1, seed: int = 0) -> Report:
@@ -60,6 +62,22 @@ class TestRun:
         assert report.records[0].status == "hypotheses_not_met"
         assert report.ok
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_unexpected_error_fails_only_its_record(self, monkeypatch, jobs):
+        def broken(target, *args):
+            raise RuntimeError("broken runner")
+
+        monkeypatch.setitem(ANALYSES, "o_pi", AnalysisSpec(ANALYSES["o_pi"].signatures, broken))
+        source = (
+            "group G = cyclic(4)\n"
+            "endo f on G = scale_first(2)\n"
+            "analyze o_pi(G, {2})\n"
+            "analyze contraction(G, f)\n"
+        )
+        report = run_source(source, jobs=jobs)
+        assert [(r.kind, r.status) for r in report.records] == [("o_pi", "fail"), ("contraction", "pass")]
+        assert report.records[0].details == {"error": "RuntimeError: broken runner"}
+
 
 class TestEmit:
     def test_text_has_pass_row(self):
@@ -82,6 +100,20 @@ class TestEmit:
     def test_golden_demo(self):
         got = emit(run_demo(3, 2, seed=0), "json")
         assert got == GOLDEN.read_bytes()
+
+    @pytest.mark.parametrize("depth", [3, 4])
+    def test_golden_demo_deeper(self, depth):
+        got = emit(run_demo(3, depth, seed=0), "json")
+        assert got == (GOLDEN_DIR / f"demo_p3_d{depth}.json").read_bytes()
+
+    @pytest.mark.parametrize("name", ["paper_example", "two_generator", "dihedral_controls"])
+    def test_golden_shipped_scenario(self, name):
+        # as `pfg run`: the report is named after the file
+        source = (resources.files("pfg") / "scenarios" / f"{name}.pfg").read_text(encoding="utf-8")
+        resolved = validate(parse(source).spec)
+        resolved = type(resolved)(name, resolved.environment, resolved.analyses, resolved.options)
+        got = emit(run(resolved), "json")
+        assert got == (GOLDEN_DIR / f"{name}.json").read_bytes()
 
     def test_timings_flag_restores_ms(self):
         report = run_demo(3, 1)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from pfg import endo
 from pfg.catalog import builtin_entries, paper_example_level
 from pfg.construct import cyclic, dihedral, direct_product
 from pfg.core import GroupHom, Subgroup, closure, identity_hom, is_normal
@@ -75,6 +76,22 @@ class TestSemigroupContraction:
         assert rep.checks["oracle_ran"]
         assert not rep.checks["tail_matches_monoid_oracle"]
         assert sorted(rep.con.members.tolist()) == [0, 10]  # (0,0) and (2,2)
+
+    def test_simulation_oracle_catches_a_flipped_fast_path(self, monkeypatch):
+        real = endo._eventual_cycle_containment
+
+        def flipped(tau, k_bools):
+            con, stable = real(tau, k_bools)
+            con = con.copy()
+            con[1] = not con[1]
+            return con, stable
+
+        monkeypatch.setattr(endo, "_eventual_cycle_containment", flipped)
+        G, f, _ = z4z9_setup()
+        rep = semigroup_contraction(EndoSemigroup(G, [f]))
+        assert not rep.checks["simulation_oracle_agrees"]
+        assert not rep.checks["tail_matches_monoid_oracle"]
+        assert sorted(rep.con.members.tolist()) == [0, 9, 18, 27]  # the literal filter value wins
 
 
 class TestSplitthm:
