@@ -459,7 +459,9 @@ def subgroup_algebra(S1: Subgroup, S2: Subgroup) -> SubgroupAlgebra:
 def product_covers(G: FiniteGroup, S1: Subgroup, S2: Subgroup) -> bool:
     if S1.size * S2.size < G.order:
         return False
-    return np.unique(G.table[np.ix_(S1.members, S2.members)]).size == G.order
+    hit = np.zeros(G.order, dtype=bool)
+    hit[G.table[np.ix_(S1.members, S2.members)]] = True
+    return bool(hit.all())
 
 
 class GroupHom:
@@ -539,8 +541,7 @@ class HomParts:
 
 def hom_parts(f: GroupHom) -> HomParts:
     kernel = Subgroup(f.domain, f.map == 0, _checked=True)
-    img = np.unique(f.map)
-    image = Subgroup(f.codomain, img, _checked=True)
+    image = Subgroup(f.codomain, f.map, _checked=True)
     return HomParts(kernel, image, kernel.size == 1, image.size == f.codomain.order)
 
 
@@ -554,7 +555,7 @@ def preimage(f: GroupHom, S: Subgroup) -> Subgroup:
 def image_of_subgroup(f: GroupHom, S: Subgroup) -> Subgroup:
     if S.parent is not f.domain:
         raise DifferentParents("subgroup does not live in the domain")
-    return Subgroup(f.codomain, np.unique(f.map[S.members]), _checked=True)
+    return Subgroup(f.codomain, f.map[S.members], _checked=True)
 
 
 def quotient(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, GroupHom]:

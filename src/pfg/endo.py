@@ -45,6 +45,9 @@ from .core import (
 from .lattice import AutoSet, enumerate_normals, o_pi, prime_factors
 
 
+MAP_CAP = 4096  # default cap on the maps of a generated transformation semigroup
+
+
 class NonCommutative(GroupError):
     def __init__(self, i: int, j: int):
         self.witness = (i, j)
@@ -99,8 +102,16 @@ class CheckRecord:
 
 
 def _set_witness(a: np.ndarray, b: np.ndarray) -> str:
-    diff = np.setxor1d(a, b)
+    """The least element in one of two membership arrays but not the other, or ""."""
+    diff = np.flatnonzero(a != b)
     return f"witness element {int(diff[0])}" if diff.size else ""
+
+
+def _scatter(n: int, idx: np.ndarray) -> np.ndarray:
+    """Membership array of the elements listed in idx, duplicates allowed."""
+    hit = np.zeros(n, dtype=bool)
+    hit[idx] = True
+    return hit
 
 
 @dataclass(frozen=True)
@@ -166,7 +177,7 @@ def contraction(f: GroupHom) -> ContractionReport:
     G = f.domain
     powers, depth = _power_chain(f.map)
     con = Subgroup(G, powers[depth] == 0, _checked=True)
-    stable = Subgroup(G, np.unique(powers[depth]), _checked=True)
+    stable = Subgroup(G, powers[depth], _checked=True)
 
     # orbit-simulation oracle: x contracts iff some iterate f^m(x), m >= 1,
     # is the identity; the iterates with m in [1, n] are all there are
@@ -183,7 +194,7 @@ def contraction(f: GroupHom) -> ContractionReport:
         stable_image=stable,
         depth=depth,
         kernel_chain=tuple(Subgroup(G, p == 0, _checked=True) for p in powers),
-        image_chain=tuple(Subgroup(G, np.unique(p), _checked=True) for p in powers),
+        image_chain=tuple(Subgroup(G, p, _checked=True) for p in powers),
         checks={"orbit_oracle_agrees": orbit_ok, "cycle_oracle_agrees": cycle_ok},
     )
 
@@ -210,23 +221,17 @@ def verify_theorem_a(G: FiniteGroup, f: GroupHom, rep: ContractionReport | None 
     checks.append(Check("con_meets_stable_trivially", int(meet.sum()) == 1))
     checks.append(Check("con_stable_product_covers", product_covers(G, con, stable)))
 
-    img_on_stable = np.unique(f.map[stable.members])
-    restr_ok = img_on_stable.size == stable.size and bool(stable.bools[img_on_stable].all())
+    restr_ok = bool(np.array_equal(_scatter(G.order, f.map[stable.members]), stable.bools))
     checks.append(Check("restriction_to_stable_is_automorphism", restr_ok))
 
-    image_bools = [p.bools for p in rep.image_chain]
-    ok_all = True
     witness = ""
     fk = np.arange(G.order, dtype=np.int32)
-    for k in range(rep.depth + 1):
-        lhs = np.unique(fk[con.members])
-        rhs = np.flatnonzero(con.bools & image_bools[k])
-        if not np.array_equal(lhs, rhs):
-            ok_all = False
-            witness = f"k={k}: " + _set_witness(lhs, rhs)
+    for k, image in enumerate(rep.image_chain[: rep.depth + 1]):
+        if diff := _set_witness(_scatter(G.order, fk[con.members]), con.bools & image.bools):
+            witness = f"k={k}: " + diff
             break
         fk = f.map[fk]
-    checks.append(Check("power_image_identity", ok_all, witness))
+    checks.append(Check("power_image_identity", not witness, witness))
 
     return CheckRecord(
         kind="theorem_a",
@@ -275,35 +280,35 @@ class EndoSemigroup:
             i, j = self._noncomm_witness
             raise NonCommutative(i, j)
 
-    def tail_map(self) -> np.ndarray:
-        """Composite of all generators (order irrelevant when commutative)."""
-        return reduce(lambda a, g: g.map[a], self.generators, np.arange(self.parent.order, dtype=np.int32))
-
-    def monoid_maps(self, cap: int = 4096) -> list[np.ndarray]:
+    def monoid_maps(self, cap: int = MAP_CAP) -> list[np.ndarray]:
         """All distinct maps in the generated transformation semigroup."""
-        gens = [g.map for g in self.generators]
-        seen: dict[bytes, np.ndarray] = {}
-        queue: list[np.ndarray] = []
-        for g in gens:
-            key = g.tobytes()
-            if key not in seen:
-                seen[key] = g
-                queue.append(g)
-        while queue:
-            w = queue.pop()
-            for g in gens:
-                c = g[w]
-                key = c.tobytes()
-                if key not in seen:
-                    if len(seen) >= cap:
-                        raise SearchBudgetExceeded(f"transformation semigroup exceeds {cap} maps")
-                    seen[key] = c
-                    queue.append(c)
-        return list(seen.values())
+        return _monoid_maps([g.map for g in self.generators], cap)
 
     def __repr__(self) -> str:
         tag = "commutative" if self.commutative else "non-commutative"
         return f"EndoSemigroup({len(self.generators)} generators on {self.parent.label!r}, {tag})"
+
+
+def _monoid_maps(gens: list[np.ndarray], cap: int) -> list[np.ndarray]:
+    """All distinct composites of the generator maps, at most ``cap`` of them."""
+    seen: dict[bytes, np.ndarray] = {}
+    queue: list[np.ndarray] = []
+    for g in gens:
+        key = g.tobytes()
+        if key not in seen:
+            seen[key] = g
+            queue.append(g)
+    while queue:
+        w = queue.pop()
+        for g in gens:
+            c = g[w]
+            key = c.tobytes()
+            if key not in seen:
+                if len(seen) >= cap:
+                    raise SearchBudgetExceeded(f"transformation semigroup exceeds {cap} maps")
+                seen[key] = c
+                queue.append(c)
+    return list(seen.values())
 
 
 def _literal_filter_contraction(
@@ -333,9 +338,7 @@ def _literal_filter_contraction(
         con &= k_bools[key_of[key]]
     img_meet = np.ones(n, dtype=bool)
     for m in maps:
-        hit = np.zeros(n, dtype=bool)
-        hit[np.unique(m)] = True
-        img_meet &= hit
+        img_meet &= _scatter(n, m)
     return con, img_meet, nonempty
 
 
@@ -344,37 +347,59 @@ def _eventual_cycle_containment(tau: np.ndarray, k_bools: np.ndarray) -> tuple[n
 
     An element eventually stays inside K iff its whole eventual cycle under
     tau lies in K.  Cycle elements are exactly the image of a deep power.
+    Each cycle is labelled by its least element: the least of tau^j(x) over
+    j < W, for the same W >= n as the deep power, by pointer jumping.
     """
     n = tau.shape[0]
-    rho = _deep_power(tau)
-    cyc = np.unique(rho)
-    ok = np.zeros(n, dtype=bool)
-    visited = np.zeros(n, dtype=bool)
-    for c in cyc:
-        c = int(c)
-        if visited[c]:
-            continue
-        loop = [c]
-        visited[c] = True
-        x = int(tau[c])
-        while x != c:
-            loop.append(x)
-            visited[x] = True
-            x = int(tau[x])
-        good = bool(k_bools[loop].all())
-        if good:
-            ok[loop] = True
-    con = ok[rho]
-    stable = np.zeros(n, dtype=bool)
-    stable[cyc] = True
-    return con, stable
+    label, rho, width = np.arange(n), tau, 1
+    while width < n:  # rho = tau^width, as in _deep_power
+        label = np.minimum(label, label[rho])
+        rho = rho[rho]
+        width *= 2
+    stable = _scatter(n, rho)
+    bad = _scatter(n, label[stable & ~k_bools])
+    return ~bad[label[rho]], stable
+
+
+def _filter_contraction(
+    gens: list[np.ndarray], k_bools: np.ndarray, cap: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict[str, bool]]:
+    """Contraction into K and image meet of the semigroup of the maps ``gens``.
+
+    Works on element maps of 0..m-1, with K as membership bools.  The
+    eventual cycles of the tail map give the fast result; the simulation
+    oracle and, up to ``cap`` maps, the literal filter definition check it,
+    and the literal value wins where they disagree.  Returns the tail map,
+    the con and stable-image bools, and the checks.
+    """
+    m = k_bools.shape[0]
+    tau = reduce(lambda a, g: g[a], gens, np.arange(m, dtype=np.int32))
+    con, stable = _eventual_cycle_containment(tau, k_bools)
+
+    # simulation oracle: membership in K of tau^j(x) for j from m on, a
+    # window of more than m steps (which covers every eventual cycle)
+    sim = _window_all(tau, k_bools, m, m + 1)
+    checks: dict[str, bool] = {"simulation_oracle_agrees": bool(np.array_equal(sim, con))}
+    try:
+        maps = _monoid_maps(gens, cap)
+    except SearchBudgetExceeded:
+        checks["oracle_ran"] = False
+    else:
+        con_o, stable_o, nonempty = _literal_filter_contraction(maps, k_bools)
+        checks["oracle_ran"] = True
+        checks["filter_base_nonempty"] = nonempty
+        agree = bool(np.array_equal(con_o, con) and np.array_equal(stable_o, stable))
+        checks["tail_matches_monoid_oracle"] = agree
+        if not agree:  # the literal definition wins
+            con, stable = con_o, stable_o
+    return tau, con, stable, checks
 
 
 def semigroup_contraction(
     S: EndoSemigroup,
     K: Subgroup | None = None,
     *,
-    oracle_map_cap: int = 4096,
+    oracle_map_cap: int = MAP_CAP,
 ) -> ContractionReport:
     """Contraction of a commuting endomorphism semigroup relative to K.
 
@@ -389,40 +414,32 @@ def semigroup_contraction(
     if not isinstance(K, Subgroup) or K.parent is not G:
         raise KNotSubgroup("K must be a subgroup of the semigroup's parent")
 
-    tau = S.tail_map()
+    tau, con_bools, stable_bools, checks = _filter_contraction(
+        [g.map for g in S.generators], K.bools, oracle_map_cap
+    )
     powers, depth = _power_chain(tau)
-    con_fast, stable_fast = _eventual_cycle_containment(tau, K.bools)
-
-    # simulation oracle: membership in K of tau^m(x) for m from n on, a
-    # window of more than n steps (which covers every eventual cycle)
-    n = G.order
-    sim = _window_all(tau, K.bools, n, n + 1)
-
-    checks: dict[str, bool] = {"simulation_oracle_agrees": bool(np.array_equal(sim, con_fast))}
-    con_bools, stable_bools = con_fast, stable_fast
-    try:
-        maps = S.monoid_maps(cap=oracle_map_cap)
-    except SearchBudgetExceeded:
-        checks["oracle_ran"] = False
-    else:
-        con_o, stable_o, nonempty = _literal_filter_contraction(maps, K.bools)
-        checks["oracle_ran"] = True
-        checks["filter_base_nonempty"] = nonempty
-        agree = bool(np.array_equal(con_o, con_fast) and np.array_equal(stable_o, stable_fast))
-        checks["tail_matches_monoid_oracle"] = agree
-        if not agree:  # the literal definition wins
-            con_bools, stable_bools = con_o, stable_o
-
-    con = Subgroup(G, con_bools)  # validated: must be a subgroup by construction
-    stable = Subgroup(G, stable_bools)
     return ContractionReport(
-        con=con,
-        stable_image=stable,
+        con=Subgroup(G, con_bools),  # validated: must be a subgroup by construction
+        stable_image=Subgroup(G, stable_bools),
         depth=depth,
         kernel_chain=tuple(Subgroup(G, K.bools[p], _checked=True) for p in powers),
-        image_chain=tuple(Subgroup(G, np.unique(p), _checked=True) for p in powers),
+        image_chain=tuple(Subgroup(G, p, _checked=True) for p in powers),
         checks=checks,
     )
+
+
+def _contraction_inside(S: EndoSemigroup, con: Subgroup) -> tuple[Subgroup, Subgroup]:
+    """Contraction and stable image of S restricted to the invariant subgroup con.
+
+    The generators act on con's positions 0..|con|-1 (the identity stays 0),
+    with no table of con; the results are mapped back, and since a subset of
+    con is a subgroup of con iff it is one of G, both are proved closed in G.
+    """
+    pos = np.full(S.parent.order, -1, dtype=np.int32)
+    pos[con.members] = np.arange(con.size, dtype=np.int32)
+    restricted = [pos[g.map[con.members]] for g in S.generators]
+    _, inner_con, inner_stable, _ = _filter_contraction(restricted, _scatter(con.size, 0), MAP_CAP)
+    return Subgroup(S.parent, con.members[inner_con]), Subgroup(S.parent, con.members[inner_stable])
 
 
 def verify_splitthm(G: FiniteGroup, S: EndoSemigroup) -> CheckRecord:
@@ -441,23 +458,16 @@ def verify_splitthm(G: FiniteGroup, S: EndoSemigroup) -> CheckRecord:
     for i, g in enumerate(S.generators):
         img = hom_parts(g).image
         checks.append(Check(f"con_product_with_image_covers_gen{i}", product_covers(G, con, img)))
-        lhs = np.flatnonzero(con.bools & img.bools)
-        rhs = np.unique(g.map[con.members])
-        checks.append(
-            Check(f"con_meet_image_is_image_of_con_gen{i}", bool(np.array_equal(lhs, rhs)), _set_witness(lhs, rhs))
-        )
-        on_stable = np.unique(g.map[stable.members])
-        bij = on_stable.size == stable.size and bool(stable.bools[on_stable].all())
+        witness = _set_witness(con.bools & img.bools, _scatter(G.order, g.map[con.members]))
+        checks.append(Check(f"con_meet_image_is_image_of_con_gen{i}", not witness, witness))
+        bij = bool(np.array_equal(_scatter(G.order, g.map[stable.members]), stable.bools))
         checks.append(Check(f"bijective_on_stable_gen{i}", bij))
         inv_i = bool(con.bools[g.map[con.members]].all())
         invariant = invariant and inv_i
         checks.append(Check(f"con_invariant_gen{i}", inv_i))
 
     if invariant:
-        con_group, incl = subgroup_as_group(G, con)
-        restricted = [restrict_endo(g, con, con_group, incl) for g in S.generators]
-        inner = semigroup_contraction(EndoSemigroup(con_group, restricted))
-        checks.append(Check("stable_image_inside_con_trivial", inner.stable_image.is_trivial))
+        checks.append(Check("stable_image_inside_con_trivial", _contraction_inside(S, con)[1].is_trivial))
     else:  # cannot restrict; the decomposition claim already failed above
         checks.append(Check("stable_image_inside_con_trivial", False, "con not invariant"))
 
@@ -486,7 +496,7 @@ class OLambdaReport:
     maps: tuple[np.ndarray, ...] = field(repr=False, compare=False)  # the semigroup's distinct maps
 
 
-def o_lambda(G: FiniteGroup, S: EndoSemigroup, *, map_cap: int = 4096) -> OLambdaReport:
+def o_lambda(G: FiniteGroup, S: EndoSemigroup, *, map_cap: int = MAP_CAP) -> OLambdaReport:
     """Closure of the union of the contraction subgroups over the monoid.
 
     The monoid's identity map is left out: its stable kernel is trivial and
@@ -676,14 +686,9 @@ def fewprimes_check(f: GroupHom, primes) -> CheckRecord:
         psi_hom = GroupHom(QG, QH, psi)
         psi_parts = hom_parts(psi_hom)
         checks.append(Check("induced_map_injective", psi_parts.is_injective))
-        target = np.unique(pH.map[f.map])  # projection of image(f) * O^pi(H)
-        checks.append(
-            Check(
-                "induced_image_matches_projected_product",
-                bool(np.array_equal(psi_parts.image.members, target)),
-                _set_witness(psi_parts.image.members, target),
-            )
-        )
+        # the projection of image(f) * O^pi(H)
+        witness = _set_witness(psi_parts.image.bools, _scatter(QH.order, pH.map[f.map]))
+        checks.append(Check("induced_image_matches_projected_product", not witness, witness))
         data = {
             "quotient_orders": (QG.order, QH.order),
             "image_order": psi_parts.image.size,

@@ -119,14 +119,14 @@ def build_zp_tower(p: int, depth: int, *, order_guard: int | None = None) -> tup
 
 
 def _pairwise_product(
-    t1: Tower, f1: CoherentEndoFamily, t2: Tower, f2: CoherentEndoFamily, depth: int, label: str
+    t1: Tower, f1: CoherentEndoFamily, t2: Tower, f2: CoherentEndoFamily, depth: int, label: str, guard: int | None
 ) -> tuple[Tower, CoherentEndoFamily]:
     if depth > min(t1.depth, t2.depth):
         raise ParamOutOfRange("product depth exceeds a factor tower's depth")
     levels, connecting, endos = [], [], []
     for k in range(depth):
         A, B = t1.levels[k], t2.levels[k]
-        levels.append(direct_product(A, B))
+        levels.append(direct_product(A, B, order_guard=guard))
     for k in range(depth - 1):
         A2, B2 = t1.levels[k + 1], t2.levels[k + 1]
         nb2, nb1 = B2.order, t2.levels[k].order
@@ -149,7 +149,7 @@ def build_zpn_tower(p: int, n: int, depth: int, *, order_guard: int | None = Non
     tower, fam = build_zp_tower(p, depth, order_guard=order_guard)
     for i in range(n - 1):
         t2, f2 = build_zp_tower(p, depth, order_guard=order_guard)
-        tower, fam = _pairwise_product(tower, fam, t2, f2, depth, f"zpn({p},{i + 2})")
+        tower, fam = _pairwise_product(tower, fam, t2, f2, depth, f"zpn({p},{i + 2})", order_guard)
     tower = Tower(tower.levels, tower.connecting, f"zpn({p},{n})")
     return tower, CoherentEndoFamily(tower, fam.endos)
 
@@ -186,7 +186,10 @@ def build_s3_times_z2_tower(depth: int, *, order_guard: int | None = None) -> tu
     is not limit-injective and the tower-level hypotheses must be refused.
     """
     s3 = dihedral(3).group
-    levels = [direct_product(s3, cyclic(2**k), f"S3xZ{2**k}") for k in range(1, depth + 1)]
+    levels = [
+        direct_product(s3, cyclic(2**k, order_guard=order_guard), f"S3xZ{2**k}", order_guard=order_guard)
+        for k in range(1, depth + 1)
+    ]
     connecting = []
     for k in range(depth - 1):
         nb_big, nb_small = 2 ** (k + 2), 2 ** (k + 1)
@@ -220,7 +223,7 @@ def build_tower(kind: str, params: tuple, depth: int, *, order_guard: int | None
     if kind == "s3_times_z2":
         return build_s3_times_z2_tower(depth, order_guard=order_guard)
     (t1, f1), (t2, f2) = params
-    return _pairwise_product(t1, f1, t2, f2, depth, f"product({t1.label},{t2.label})")
+    return _pairwise_product(t1, f1, t2, f2, depth, f"product({t1.label},{t2.label})", order_guard)
 
 
 @dataclass(frozen=True)

@@ -1,15 +1,18 @@
 """The analysis table: its documentation, and parse -> validate -> run on
-arbitrary argument lists."""
+arbitrary argument lists, mutated shipped scenarios and random token
+streams."""
 
 import json
 import re
+import tempfile
 from pathlib import Path
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import pfg.dsl
-from pfg.dsl import ScenarioError, parse, validate
+from pfg.cli import main
+from pfg.dsl import ScenarioError, _tokenize, parse, validate
 from pfg.report import ANALYSES, emit, run
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -95,3 +98,96 @@ def test_any_argument_list_runs_or_is_a_located_error(request):
     first = emit(report, "json")
     assert emit(report, "json") == first
     assert json.loads(first)["analyses"][0]["kind"] == kind
+
+
+# ------------------------------------------------------------ token fuzzing
+
+SCENARIOS = sorted((Path(pfg.dsl.__file__).parent / "scenarios").glob("*.pfg"))
+GUARD = 600  # above every shipped group (486), so that perturbed numbers stay cheap
+
+
+def _tokens(source: str) -> list[str]:
+    """Token texts, with "\n" for each line end."""
+    out = []
+    for t in _tokenize(source)[0]:
+        if t.kind == "newline":
+            out.append("\n")
+        elif t.kind != "eof":
+            out.append(f'"{t.text}"' if t.kind == "string" else t.text)
+    return out
+
+
+def _source(tokens: list[str]) -> str:
+    return "".join(t if t == "\n" else t + " " for t in tokens)
+
+
+SHIPPED_TOKENS = [_tokens(p.read_text(encoding="utf-8")) for p in SCENARIOS]
+
+
+@st.composite
+def mutated_scenarios(draw) -> str:
+    """A shipped scenario with one to three tokens dropped, duplicated or
+    swapped, or integers moved by a little; half of the edits are the last
+    kind, which most often still parses."""
+    tokens = list(draw(st.sampled_from(SHIPPED_TOKENS)))
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(tokens) - 1))
+        how = draw(st.sampled_from(["perturb", "drop", "perturb", "duplicate", "perturb", "swap"]))
+        if how == "drop":
+            del tokens[i]
+        elif how == "duplicate":
+            tokens.insert(i, tokens[i])
+        elif how == "swap":
+            j = draw(st.integers(0, len(tokens) - 1))
+            tokens[i], tokens[j] = tokens[j], tokens[i]
+        else:
+            ints = [k for k, t in enumerate(tokens) if t.lstrip("-").isdigit()]
+            k = draw(st.sampled_from(ints))
+            tokens[k] = str(int(tokens[k]) + draw(st.integers(-3, 3)))
+        if not tokens:
+            break
+    return _source(tokens)
+
+
+VOCABULARY = (
+    "group", "endo", "semigroup", "tower", "analyze", "set", "on", "map", "act", "depth",
+    "cyclic", "units_mod", "semidirect", "product", "table", "zp", "zpn", "units_semidirect", "s3_times_z2",
+    "scale_first", "identity", "trivial", "invert", "mult_action", "order_guard", "seed",
+    *sorted(ANALYSES), "G", "H", "f", "g", "L", "T",
+    "->", "(", ")", "{", "}", "[", "]", ",", "=", "0", "1", "2", "3", "4", "-1", '"x"', "\n",
+)
+
+
+def _assert_runs_or_located(source: str) -> None:
+    """Parse -> validate -> run ends in located diagnostics or a report whose
+    JSON bytes repeat; the command line exits with 0, 1 or 2."""
+    result = parse(source)
+    if result.spec is None:
+        assert result.diagnostics and all(d.line >= 1 and d.column >= 1 for d in result.diagnostics)
+    else:
+        try:
+            resolved = validate(result.spec, order_guard=GUARD)
+        except ScenarioError as exc:
+            assert exc.line >= 1 and exc.column >= 1, exc
+        else:
+            report = run(resolved)
+            assert all(r.status in STATUSES for r in report.records)
+            first = emit(report, "json")
+            assert emit(report, "json") == first
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.pfg"
+        path.write_text(source, encoding="utf-8")
+        argv = ["run", str(path), "--format", "json", "--out", str(Path(tmp) / "out.json"), "--jobs", "1"]
+        assert main([*argv, "--order-guard", str(GUARD)]) in {0, 1, 2}
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(source=mutated_scenarios())
+def test_mutated_shipped_scenario_runs_or_is_a_located_error(source):
+    _assert_runs_or_located(source)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(tokens=st.lists(st.sampled_from(VOCABULARY), max_size=40))
+def test_random_token_stream_runs_or_is_a_located_error(tokens):
+    _assert_runs_or_located(_source(tokens))

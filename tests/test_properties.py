@@ -25,7 +25,7 @@ from pfg.core import (
     subgroup_as_group,
 )
 from pfg.dsl import ScenarioError, _expand_hom
-from pfg.endo import _window_all, contraction, hom_search, shrinkind_check
+from pfg.endo import _deep_power, _eventual_cycle_containment, _window_all, contraction, hom_search, shrinkind_check
 from pfg.construct import cyclic, is_prime
 from pfg.lattice import (
     AutoSet,
@@ -118,6 +118,32 @@ def _simulation_loop(tau: np.ndarray, k_bools: np.ndarray) -> np.ndarray:
         if step >= n - 1:
             sim &= k_bools[y]
     return sim
+
+
+def _cycle_walk_oracle(tau: np.ndarray, k_bools: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Oracle: walk each eventual cycle of tau in Python, one step per element;
+    an element contracts into K iff its whole eventual cycle lies in K."""
+    n = tau.shape[0]
+    rho = _deep_power(tau)
+    cyc = np.unique(rho)
+    ok = np.zeros(n, dtype=bool)
+    visited = np.zeros(n, dtype=bool)
+    for c in cyc:
+        c = int(c)
+        if visited[c]:
+            continue
+        loop = [c]
+        visited[c] = True
+        x = int(tau[c])
+        while x != c:
+            loop.append(x)
+            visited[x] = True
+            x = int(tau[x])
+        if k_bools[loop].all():
+            ok[loop] = True
+    stable = np.zeros(n, dtype=bool)
+    stable[cyc] = True
+    return ok[rho], stable
 
 
 def _normal_lattice_product_joins(G: FiniteGroup) -> set[bytes]:
@@ -565,3 +591,59 @@ def test_window_all_on_paper_levels_and_too_short_a_window():
     want = _simulation_loop(f, k)
     assert np.array_equal(_window_all(f, k, n, n + 1), want)
     assert not np.array_equal(_window_all(f, k, n, 256), want)
+
+
+def _short_cycles(rng: np.random.Generator, n: int, c: int, longest: int) -> np.ndarray:
+    """A map on a random order perm of the points: perm[c:] split into cycles
+    of 1 to ``longest`` points (1: fixed points), and each of perm[:c] sent
+    to a random point after it."""
+    perm = rng.permutation(n)
+    f = np.empty(n, dtype=np.int64)
+    start = c
+    while start < n:
+        block = perm[start : start + int(rng.integers(1, longest + 1))]
+        f[block] = np.roll(block, -1)
+        start += block.size
+    for i in range(c):
+        f[perm[i]] = perm[int(rng.integers(i + 1, n))]
+    return f
+
+
+def _assert_cycle_paths_agree(f: np.ndarray, k: np.ndarray) -> None:
+    got, want = _eventual_cycle_containment(f, k), _cycle_walk_oracle(f, k)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_eventual_cycle_containment_matches_cycle_walk(data):
+    n = data.draw(st.integers(1, 300))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    kind = data.draw(st.sampled_from(["random", "long_tail", "short_cycles", "fixed_points"]))
+    c = data.draw(st.integers(0, n - 1))
+    if kind == "random":
+        f = rng.integers(0, n, size=n)
+    elif kind == "long_tail":  # a tail of c points into one cycle
+        f, _ = _tail_into_cycle(rng, n, c, data.draw(st.booleans()))
+    else:
+        f = _short_cycles(rng, n, c, 3 if kind == "short_cycles" else 1)
+    if data.draw(st.booleans()):
+        k = rng.random(n) < data.draw(st.sampled_from([0.5, 0.9, 1.0]))
+    else:  # K misses exactly one cycle element, or only a tail element
+        k = np.ones(n, dtype=bool)
+        cycle = np.flatnonzero(_cycle_walk_oracle(f, k)[1])
+        tail = np.setdiff1d(np.arange(n), cycle)
+        on_tail = tail.size and data.draw(st.booleans())
+        pool = tail if on_tail else cycle
+        k[pool[data.draw(st.integers(0, pool.size - 1))]] = False
+    _assert_cycle_paths_agree(f, k)
+
+
+def test_eventual_cycle_containment_on_paper_levels():
+    for p, k in ((2, 6), (7, 2)):  # orders 2048 and 2058
+        sd, phi = paper_example_level(p, k)
+        G = sd.group
+        conj = conjugation_hom(G, int(sd.acting_part.members[1]))
+        for f in (np.arange(G.order), np.zeros(G.order, dtype=np.int64), phi.map, conj.map, phi.map[conj.map]):
+            for K in (sd.normal_part, sd.acting_part, closure(G, [])):
+                _assert_cycle_paths_agree(f, K.bools)

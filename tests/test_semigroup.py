@@ -1,12 +1,24 @@
 """Semigroup contraction, the decomposition theorem for semigroups, O_Lambda."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from pfg import endo
 from pfg.catalog import builtin_entries, paper_example_level
 from pfg.construct import cyclic, dihedral, direct_product
-from pfg.core import GroupHom, Subgroup, closure, identity_hom, is_normal
+from pfg.core import (
+    GroupHom,
+    Subgroup,
+    closure,
+    conjugation_hom,
+    identity_hom,
+    is_normal,
+    restrict_endo,
+    subgroup_as_group,
+    trivial_hom,
+)
 from pfg.endo import (
     EndoSemigroup,
     KNotSubgroup,
@@ -114,6 +126,72 @@ class TestSplitthm:
         rec = verify_splitthm(sd.group, EndoSemigroup(sd.group, [phi]))
         assert rec.passed
         assert rec.data["con_order"] == 9 and rec.data["stable_order"] == 6
+
+    def test_paper_level_with_con_the_whole_group_stays_small(self):
+        sd, _ = paper_example_level(2, 6)  # order 2048
+        G = sd.group
+        S = EndoSemigroup(G, [trivial_hom(G)])
+        tracemalloc.start()
+        try:
+            rec = verify_splitthm(G, S)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rec.passed and rec.data["con_order"] == 2048
+        assert peak < 2 * 2**20, peak
+
+    def test_literal_filter_decides_the_inner_check(self, monkeypatch):
+        # a fast path that calls every point stable: inside con (order 9 of
+        # 54) it would make the stable image all of con and fail the check
+        real = endo._eventual_cycle_containment
+        sizes = []
+
+        def flipped(tau, k_bools):
+            sizes.append(tau.shape[0])
+            con, stable = real(tau, k_bools)
+            return con, np.ones_like(stable)
+
+        monkeypatch.setattr(endo, "_eventual_cycle_containment", flipped)
+        sd, phi = paper_example_level(3, 2)
+        rec = verify_splitthm(sd.group, EndoSemigroup(sd.group, [phi]))
+        assert sizes == [54, 9]
+        assert not rec.data["oracle"]["tail_matches_monoid_oracle"]
+        assert rec.passed and dict((c.name, c.passed) for c in rec.checks)["stable_image_inside_con_trivial"]
+
+
+def _inner_by_subtable(S: EndoSemigroup, con: Subgroup) -> tuple[np.ndarray, np.ndarray]:
+    """Oracle: con as a group of its own (a |con|^2 table), the generators
+    restricted to it, and semigroup_contraction there, mapped back to G."""
+    con_group, incl = subgroup_as_group(S.parent, con)
+    restricted = [restrict_endo(g, con, con_group, incl) for g in S.generators]
+    inner = semigroup_contraction(EndoSemigroup(con_group, restricted))
+    return incl.map[inner.con.members], incl.map[inner.stable_image.members]
+
+
+def _splitthm_cases():
+    for entry in builtin_entries(500):
+        G = entry.group
+        yield G, [EndoSemigroup(G, [f]) for f in entry.endos] + list(entry.semigroups)
+    for p, k in ((2, 6), (7, 2)):  # orders 2048 and 2058
+        sd, phi = paper_example_level(p, k)
+        G = sd.group
+        conj = conjugation_hom(G, int(sd.acting_part.members[1]))
+        maps = [identity_hom(G), trivial_hom(G), phi, conj, GroupHom(G, G, phi.map[conj.map], validate=False)]
+        yield G, [EndoSemigroup(G, [f, GroupHom(G, G, f.map[f.map], validate=False)]) for f in maps]
+
+
+def test_inner_check_matches_subtable_oracle():
+    for G, semigroups in _splitthm_cases():
+        for S in semigroups:
+            rec = verify_splitthm(G, S)
+            con = semigroup_contraction(S).con
+            check = dict((c.name, c.passed) for c in rec.checks)["stable_image_inside_con_trivial"]
+            assert all(con.bools[g.map[con.members]].all() for g in S.generators), (G, S)
+            want_con, want_stable = _inner_by_subtable(S, con)
+            got_con, got_stable = endo._contraction_inside(S, con)
+            assert got_con.members.tolist() == want_con.tolist(), (G, S)
+            assert got_stable.members.tolist() == want_stable.tolist(), (G, S)
+            assert check == (want_stable.size == 1), (G, S)
 
 
 class TestOLambda:

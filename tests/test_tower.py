@@ -3,7 +3,7 @@
 import pytest
 
 from pfg.construct import cyclic
-from pfg.core import GroupHom, ParamOutOfRange, identity_hom
+from pfg.core import GroupHom, OrderGuardExceeded, ParamOutOfRange, identity_hom
 from pfg.endo import EndoSemigroup, o_lambda
 from pfg.tower import (
     CoherenceViolation,
@@ -42,6 +42,18 @@ class TestBuilders:
 
     def test_zpn_counts(self):
         t, f = build_zpn_tower(2, 2, 3)
+        assert [g.order for g in t.levels] == [4, 16, 64]
+
+    def test_product_levels_obey_the_order_guard(self):
+        # product levels (zpn, product, s3_times_z2) are held to the guard
+        # given, like the factor levels, not to the default 5000
+        with pytest.raises(OrderGuardExceeded, match="guard 30"):
+            build_tower("zpn", (2, 2), 3, order_guard=30)
+        with pytest.raises(OrderGuardExceeded, match="guard 20"):
+            build_tower("product", (build_zp_tower(2, 3), build_zp_tower(3, 3)), 3, order_guard=20)
+        with pytest.raises(OrderGuardExceeded, match="guard 40"):
+            build_tower("s3_times_z2", (), 3, order_guard=40)
+        t, _ = build_tower("zpn", (2, 2), 3, order_guard=64)
         assert [g.order for g in t.levels] == [4, 16, 64]
 
     def test_depth_validation(self):
