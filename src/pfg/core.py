@@ -155,6 +155,31 @@ def extend_images(
     return members, None
 
 
+def power_map(table: np.ndarray, xs: np.ndarray, e: int) -> np.ndarray:
+    """The powers x^e of the elements xs, by square and multiply."""
+    result = np.zeros_like(xs)  # x^0 = identity
+    base = xs
+    while e:
+        if e & 1:
+            result = table[result, base]
+        base = table[base, base]
+        e >>= 1
+    return result
+
+
+def prime_factors(m: int) -> set[int]:
+    out = set()
+    d = 2
+    while d * d <= m:
+        while m % d == 0:
+            out.add(d)
+            m //= d
+        d += 1
+    if m > 1:
+        out.add(m)
+    return out
+
+
 def _greedy_generators(table: np.ndarray) -> list[int]:
     """Small generating set found by adjoining the least uncovered element."""
     gens: list[int] = []
@@ -262,18 +287,20 @@ class FiniteGroup:
         return int(self.inv[a])
 
     def element_orders(self) -> np.ndarray:
+        """Orders of all elements, one prime at a time: with p^a the p-part
+        of the group order n, x^(n/p^a) has order the p-part of ord(x), found
+        by at most a p-th powers.  Each power is a square and multiply."""
         if self._element_orders is None:
             n = self.order
-            orders = np.zeros(n, dtype=np.int32)
-            cur = np.arange(n, dtype=np.int32)
-            base = cur.copy()
-            k = 1
-            while (orders == 0).any():
-                orders[(orders == 0) & (cur == 0)] = k
-                cur = self.table[cur, base]
-                k += 1
-                if k > n + 1:  # pragma: no cover - guarded by validation
-                    raise GroupError("element order exceeds group order")
+            orders = np.ones(n, dtype=np.int32)
+            for p in prime_factors(n):
+                a = next(a for a in range(n) if n % p ** (a + 1))  # p^a exactly divides n
+                y = power_map(self.table, np.arange(n, dtype=np.int32), n // p**a)
+                for _ in range(a):
+                    orders[y != 0] *= p
+                    y = power_map(self.table, y, p)
+                if y.any():  # pragma: no cover - guarded by validation
+                    raise GroupError("element order does not divide the group order")
             orders.setflags(write=False)
             self._element_orders = orders
         return self._element_orders
@@ -614,15 +641,6 @@ def conjugation_hom(G: FiniteGroup, g: int) -> GroupHom:
     return GroupHom(G, G, mapping, validate=False)
 
 
-def commutator_set(G: FiniteGroup, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """All commutators a^-1 b^-1 a b with a in A, b in B (as element indices)."""
-    ia = G.inv[A]
-    ib = G.inv[B]
-    left = G.table[np.ix_(ia, ib)]
-    right = G.table[np.ix_(A, B)]
-    return np.unique(G.table[left, right])
-
-
 @dataclass(frozen=True)
 class NilpotencyReport:
     is_nilpotent: bool
@@ -631,26 +649,41 @@ class NilpotencyReport:
     is_solvable: bool
 
 
-def lower_central_series(G: FiniteGroup) -> list[Subgroup]:
+def _commutator_series(G: FiniteGroup, lower: bool) -> list[Subgroup]:
+    """Lower central series (each term against G) or derived series (each
+    term against itself).  For H = <X> and K = <Y>, [H, K] is the normal
+    closure in HK of the commutators x^-1 y^-1 x y (Robinson 5.1.7).  Both
+    kinds of term are normal in G, so the closure is taken in G: conjugates
+    by the generators of G of each element adjoined are adjoined in turn
+    until none falls outside, and the elements adjoined generate the term."""
+    t, inv = G.table, G.inv
     series = [whole_subgroup(G)]
-    everything = np.arange(G.order, dtype=np.int32)
+    top = gens = np.asarray(G.generators(), dtype=np.int32)
     while True:
-        comms = commutator_set(G, series[-1].members, everything)
-        nxt = Subgroup(G, _orbit_closure(G.table, comms), _checked=True)
-        if nxt == series[-1]:
+        other = top if lower else gens
+        cand = t[t[np.ix_(inv[gens], inv[other])], t[np.ix_(gens, other)]].ravel()
+        bools = np.arange(G.order) == 0
+        adjoined: list[int] = []
+        while cand.size:
+            new = []
+            for c in cand[~bools[cand]].tolist():
+                if not bools[c]:
+                    adjoined.append(c)
+                    new.append(c)
+                    bools = _orbit_closure(t, adjoined, bools)
+            cand = t[t[top[:, None], new], inv[top][:, None]].ravel()
+        if int(bools.sum()) == series[-1].size:
             return series
-        series.append(nxt)
+        series.append(Subgroup(G, bools, _checked=True))
+        gens = np.asarray(adjoined, dtype=np.int32)
+
+
+def lower_central_series(G: FiniteGroup) -> list[Subgroup]:
+    return _commutator_series(G, lower=True)
 
 
 def derived_series(G: FiniteGroup) -> list[Subgroup]:
-    series = [whole_subgroup(G)]
-    while True:
-        m = series[-1].members
-        comms = commutator_set(G, m, m)
-        nxt = Subgroup(G, _orbit_closure(G.table, comms), _checked=True)
-        if nxt == series[-1]:
-            return series
-        series.append(nxt)
+    return _commutator_series(G, lower=False)
 
 
 def nilpotency(G: FiniteGroup) -> NilpotencyReport:

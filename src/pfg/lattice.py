@@ -1,12 +1,12 @@
 """Subgroup and normal-subgroup enumeration, residual intersections, O^pi.
 
 Two enumeration routes are used.  Small groups (or unbounded index) go
-through breadth-first generator adjunction over the whole lattice.  For a
-large group with a small index bound n the complete answer is assembled
-from the normal lattice instead: every subgroup of index at most n
-contains its own core, a normal subgroup of index dividing n!, so pulling
-back the low-index subgroups of the quotients G/N over all normal N of
-index <= n! finds every candidate exactly once.
+through zuppo adjunction along canonical chains over the whole lattice.
+For a large group with a small index bound n the complete answer is
+assembled from the normal lattice instead: every subgroup of index at
+most n contains its own core, a normal subgroup of index dividing n!, so
+pulling back the low-index subgroups of the quotients G/N over all
+normal N of index <= n! finds every candidate exactly once.
 """
 
 from __future__ import annotations
@@ -23,7 +23,9 @@ from .core import (
     ParamOutOfRange,
     Subgroup,
     _orbit_closure,
+    power_map,
     preimage,
+    prime_factors,
     quotient,
     subgroup_as_group,
 )
@@ -75,35 +77,64 @@ class _Budget:
         return self.left >= 0
 
 
-def _adjunction_enumeration(G: FiniteGroup, budget: _Budget) -> tuple[list[tuple[np.ndarray, tuple[int, ...]]], bool]:
-    """All subgroups by generator adjunction; one adjoined rep per coset."""
-    t = G.table
-    triv = np.zeros(G.order, dtype=bool)
-    triv[0] = True
-    found: dict[bytes, tuple[np.ndarray, tuple[int, ...]]] = {triv.tobytes(): (triv, ())}
-    queue = [(triv, ())]
-    complete = True
-    while queue:
-        bools, gens = queue.pop()
-        members = np.flatnonzero(bools)
-        if members.size == G.order:
+def _zuppos(G: FiniteGroup) -> tuple[np.ndarray, np.ndarray]:
+    """Zuppos, the cyclic subgroups of prime-power order > 1: the least
+    element of each, ascending, and a label giving each element of
+    prime-power order the position of the zuppo it generates (-1 elsewhere).
+    One walk over the powers of x finds the generators of <x>: those of its order."""
+    t, orders = G.table, G.element_orders()
+    prime_power = np.zeros(int(orders.max()) + 1, dtype=bool)
+    for q in np.unique(orders).tolist():
+        prime_power[q] = len(prime_factors(q)) == 1
+    label = np.full(G.order, -1, dtype=np.int32)
+    zuppos: list[int] = []
+    for x in np.flatnonzero(prime_power[orders]).tolist():
+        if label[x] >= 0:
             continue
-        reps = np.unique(t[:, members].min(axis=1))
-        for r in reps:
-            if bools[r]:
+        q, powers = orders[x], [x]
+        while len(powers) < q:
+            powers.append(int(t[powers[-1], x]))
+        powers = np.asarray(powers)
+        label[powers[orders[powers] == q]] = len(zuppos)
+        zuppos.append(x)
+    return np.asarray(zuppos, dtype=np.int32), label
+
+
+def _adjunction_enumeration(G: FiniteGroup, budget: _Budget) -> tuple[list[tuple[np.ndarray, tuple[int, ...]]], bool]:
+    """All subgroups by adjoining zuppos along canonical chains.
+
+    Every subgroup K is generated by its zuppos z_1 < z_2 < ...  Its
+    canonical chain starts at 1 and adjoins, at each step, the least zuppo
+    of K outside the subgroup so far.  So from H, reached by adjoining z_i
+    last, the walk adjoins each z_j with j > i outside H and keeps the child
+    only if its zuppos below z_j all lie in H (a member of H*z_j generating
+    one of them rules the child out before its closure).  Then H and z_j
+    make up the child's canonical chain: each subgroup is reached once, in
+    every finite group.
+    """
+    t = G.table
+    zs, label = _zuppos(G)
+    triv = np.arange(G.order) == 0
+    found = [(triv, ())]
+    stack = [(triv, (), -1)]
+    while stack:
+        bools, gens, last = stack.pop()
+        inside, members = bools[zs], np.flatnonzero(bools)
+        for j in range(last + 1, zs.size):
+            if inside[j]:
                 continue
-            new_gens = gens + (int(r),)
+            coset = label[t[members, zs[j]]]  # the zuppo a member of H*z_j generates: in the child, not in H
+            if ((0 <= coset) & (coset < j)).any():
+                continue
+            new_gens = gens + (int(zs[j]),)
             new = _orbit_closure(t, new_gens, bools)
             if not budget.spend(int(new.sum()) * len(new_gens)):
-                complete = False
-                queue.clear()
-                break
-            key = new.tobytes()
-            if key not in found:
-                entry = (new, new_gens)
-                found[key] = entry
-                queue.append(entry)
-    return list(found.values()), complete
+                return found, False
+            if (new[zs[:j]] > inside[:j]).any():
+                continue
+            found.append((new, new_gens))
+            stack.append((new, new_gens, j))
+    return found, True
 
 
 def _low_index_via_cores(G: FiniteGroup, n: int, budget: _Budget) -> tuple[list[np.ndarray], bool]:
@@ -144,26 +175,9 @@ def all_subgroups(G: FiniteGroup, *, node_budget: int = DEFAULT_NODE_BUDGET) -> 
     return enumerate_subgroups(G, G.order, node_budget=node_budget)
 
 
-def conjugacy_classes(G: FiniteGroup) -> list[np.ndarray]:
-    t, inv = G.table, G.inv
-    done = np.zeros(G.order, dtype=bool)
-    classes = []
-    for x in range(G.order):
-        if done[x]:
-            continue
-        orbit = np.unique(t[t[:, x], inv])
-        done[orbit] = True
-        classes.append(orbit)
-    return classes
-
-
 def enumerate_normals(G: FiniteGroup) -> list[Subgroup]:
-    """All normal subgroups: joins of normal closures of conjugacy classes.
+    """All normal subgroups, found by ``_normal_lattice``.
 
-    Every normal subgroup is a union of conjugacy classes and hence the join
-    of the class closures it contains, so saturating the class closures under
-    joins with seeds reaches the whole normal lattice (which is then closed
-    under meet automatically; a meet of normals is again a union of classes).
     The lattice is computed once per group and kept on it.
     """
     if G._normals is None:
@@ -172,27 +186,43 @@ def enumerate_normals(G: FiniteGroup) -> list[Subgroup]:
 
 
 def _normal_lattice(G: FiniteGroup) -> tuple[Subgroup, ...]:
-    t = G.table
+    """Normal subgroups, each the join of the seeds inside it: the normal
+    closures of the conjugacy classes of its zuppos.  The joins of seeds are
+    walked along canonical chains, as in ``_adjunction_enumeration``, with
+    one containment test of every seed against each join.
+    """
+    t, inv = G.table, G.inv
+    zs, label = _zuppos(G)
+    covered = np.zeros(zs.size, dtype=bool)
     seeds: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
-    for cls in conjugacy_classes(G):
+    for i, z in enumerate(zs.tolist()):
+        if covered[i]:
+            continue
+        in_cls = np.zeros(G.order, dtype=bool)
+        in_cls[t[t[:, z], inv]] = True
+        cls = np.flatnonzero(in_cls)
+        covered[label[cls]] = True
         b = _orbit_closure(t, cls)
         seeds.setdefault(b.tobytes(), (b, cls))
-    seed_list = list(seeds.values())
-    found = {key: b for key, (b, _) in seeds.items()}
-    work = list(found.values())
-    while work:
-        a = work.pop()
-        for s, cls in seed_list:
-            if not (s & ~a).any():  # seed inside a: join is a itself
+    seed_bools = np.array([b for b, _ in seeds.values()], dtype=bool).reshape(len(seeds), G.order)
+    classes = [cls for _, cls in seeds.values()]
+    triv = np.arange(G.order) == 0
+    found = [triv]
+    stack = [(triv, -1, np.zeros(len(classes), dtype=bool))]
+    while stack:
+        a, last, inside = stack.pop()
+        for j in range(last + 1, len(classes)):
+            if inside[j]:
                 continue
-            # a is normal and cls is closed under conjugation, so extending
-            # the closed a by cls gives the join a*s
-            join = _orbit_closure(t, cls, a)
-            key = join.tobytes()
-            if key not in found:
-                found[key] = join
-                work.append(join)
-    subs = [Subgroup(G, b, _checked=True) for b in found.values()]
+            # a is normal and the class is closed under conjugation, so
+            # extending the closed a by the class gives the join of a and seed j
+            join = _orbit_closure(t, classes[j], a) if last >= 0 else seed_bools[j]
+            join_inside = ~(seed_bools & ~join).any(axis=1)
+            if (join_inside[:j] > inside[:j]).any():
+                continue
+            found.append(join)
+            stack.append((join, j, join_inside))
+    subs = [Subgroup(G, b, _checked=True) for b in found]
     return tuple(sorted(subs, key=lambda s: (s.size, s.members.tobytes())))
 
 
@@ -201,18 +231,6 @@ def _lcm_up_to(cap: int) -> int:
     for k in range(2, cap + 1):
         out = out * k // gcd(out, k)
     return out
-
-
-def _power_map(G: FiniteGroup, e: int) -> np.ndarray:
-    """The element map x -> x^e by square and multiply."""
-    result = np.zeros(G.order, dtype=np.int32)  # x^0 = identity
-    base = np.arange(G.order, dtype=np.int32)
-    while e:
-        if e & 1:
-            result = G.table[result, base]
-        base = G.table[base, base]
-        e >>= 1
-    return result
 
 
 def normals_up_to_index(G: FiniteGroup, cap: int) -> list[Subgroup]:
@@ -226,7 +244,7 @@ def normals_up_to_index(G: FiniteGroup, cap: int) -> list[Subgroup]:
         raise ParamOutOfRange("index bound must be >= 1")
     if cap >= G.order:
         return enumerate_normals(G)
-    verbal = _orbit_closure(G.table, np.unique(_power_map(G, _lcm_up_to(cap))))
+    verbal = _orbit_closure(G.table, np.unique(power_map(G.table, np.arange(G.order, dtype=np.int32), _lcm_up_to(cap))))
     if int(verbal.sum()) == 1:
         return [N for N in enumerate_normals(G) if N.index <= cap]
     Q, proj = quotient(G, Subgroup(G, verbal, _checked=True))
@@ -248,19 +266,6 @@ def residual_intersection(G: FiniteGroup, n: int, autos: AutoSet | None = None) 
             continue
         meet &= N.bools
     return Subgroup(G, meet, _checked=True)
-
-
-def prime_factors(m: int) -> set[int]:
-    out = set()
-    d = 2
-    while d * d <= m:
-        while m % d == 0:
-            out.add(d)
-            m //= d
-        d += 1
-    if m > 1:
-        out.add(m)
-    return out
 
 
 def o_pi(G: FiniteGroup, primes) -> Subgroup:

@@ -62,6 +62,18 @@ class TestEnumerateSubgroups:
         cat = enumerate_subgroups(dihedral(6).group, 24, node_budget=5)
         assert not cat.complete
 
+    def test_every_budget_is_complete_or_says_not(self):
+        # budgets from 1 up to the least that completes: a short budget may
+        # drop subgroups but must say so, and never reports a false one
+        G = dihedral(6).group
+        full = [s.bools.tobytes() for s in enumerate_subgroups(G, 12).entries]
+        budget = 1
+        while not (cat := enumerate_subgroups(G, 12, node_budget=budget)).complete:
+            assert {s.bools.tobytes() for s in cat.entries} <= set(full), budget
+            budget += 1
+        assert [s.bools.tobytes() for s in cat.entries] == full
+        assert budget > 1
+
     def test_catalog_invariants(self):
         for G in (s3(), dihedral(4).group, cyclic(12)):
             for n in (1, 2, G.order):

@@ -17,20 +17,27 @@ from pfg.core import (
     _orbit_closure,
     closure,
     conjugation_hom,
+    derived_series,
     extend_images,
     hom_parts,
     is_normal,
+    lower_central_series,
+    nilpotency,
     preimage,
     quotient,
     subgroup_as_group,
+    whole_subgroup,
 )
 from pfg.dsl import ScenarioError, _expand_hom
 from pfg.endo import _deep_power, _eventual_cycle_containment, _window_all, contraction, hom_search, shrinkind_check
-from pfg.construct import cyclic, is_prime
+from pfg.construct import cyclic, direct_product, is_prime
 from pfg.lattice import (
     AutoSet,
+    _adjunction_enumeration,
+    _Budget,
+    _normal_lattice,
+    _zuppos,
     all_subgroups,
-    conjugacy_classes,
     enumerate_normals,
     o_pi,
     prime_factors,
@@ -144,6 +151,20 @@ def _cycle_walk_oracle(tau: np.ndarray, k_bools: np.ndarray) -> tuple[np.ndarray
     stable = np.zeros(n, dtype=bool)
     stable[cyc] = True
     return ok[rho], stable
+
+
+def conjugacy_classes(G: FiniteGroup) -> list[np.ndarray]:
+    """Oracle helper: every conjugacy class, as ascending element indices."""
+    t, inv = G.table, G.inv
+    done = np.zeros(G.order, dtype=bool)
+    classes = []
+    for x in range(G.order):
+        if done[x]:
+            continue
+        orbit = np.unique(t[t[:, x], inv])
+        done[orbit] = True
+        classes.append(orbit)
+    return classes
 
 
 def _normal_lattice_product_joins(G: FiniteGroup) -> set[bytes]:
@@ -647,3 +668,159 @@ def test_eventual_cycle_containment_on_paper_levels():
         for f in (np.arange(G.order), np.zeros(G.order, dtype=np.int64), phi.map, conj.map, phi.map[conj.map]):
             for K in (sd.normal_part, sd.acting_part, closure(G, [])):
                 _assert_cycle_paths_agree(f, K.bools)
+
+
+def _element_orders_step_loop(G: FiniteGroup) -> np.ndarray:
+    """Oracle: multiply every element by itself once per step until it reaches the identity."""
+    n = G.order
+    orders = np.zeros(n, dtype=np.int32)
+    cur = np.arange(n, dtype=np.int32)
+    base = cur.copy()
+    k = 1
+    while (orders == 0).any():
+        orders[(orders == 0) & (cur == 0)] = k
+        cur = G.table[cur, base]
+        k += 1
+        assert k <= n + 1, "element order exceeds group order"
+    return orders
+
+
+def _paper_groups() -> list[FiniteGroup]:
+    return [paper_example_level(p, k)[0].group for p, k in ((2, 6), (7, 2))]  # orders 2048 and 2058
+
+
+def test_element_orders_match_step_loop():
+    groups = [e.group for e in builtin_entries(500)] + _paper_groups() + [cyclic(4096)]
+    for G in groups:
+        assert np.array_equal(G.element_orders(), _element_orders_step_loop(G)), G
+
+
+def _commutator_set(G: FiniteGroup, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Oracle: all commutators a^-1 b^-1 a b with a in A, b in B (as element indices)."""
+    left = G.table[np.ix_(G.inv[A], G.inv[B])]
+    right = G.table[np.ix_(A, B)]
+    return np.unique(G.table[left, right])
+
+
+def _series_by_commutator_sets(G: FiniteGroup, lower: bool) -> list[bytes]:
+    """Oracle: each term closes every commutator of the last term with G (lower
+    central series) or with itself (derived series)."""
+    series = [whole_subgroup(G)]
+    everything = np.arange(G.order, dtype=np.int32)
+    while True:
+        m = series[-1].members
+        comms = _commutator_set(G, m, everything if lower else m)
+        nxt = Subgroup(G, _orbit_closure_all_generators(G.table, comms), _checked=True)
+        if nxt == series[-1]:
+            return [s.bools.tobytes() for s in series]
+        series.append(nxt)
+
+
+def test_commutator_series_match_commutator_set_oracle():
+    for G in [e.group for e in builtin_entries(500)] + _paper_groups():
+        assert [s.bools.tobytes() for s in lower_central_series(G)] == _series_by_commutator_sets(G, True), G
+        assert [s.bools.tobytes() for s in derived_series(G)] == _series_by_commutator_sets(G, False), G
+
+
+def test_nilpotency_of_a_paper_level_stays_small():
+    G = _paper_groups()[0]
+    tracemalloc.start()
+    try:
+        rep = nilpotency(G)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [s.size for s in rep.lower_central_series] == [2048, 32, 16, 8, 4, 2, 1]
+    assert rep.is_nilpotent and rep.is_solvable
+    assert peak < 2 * 2**20, peak
+
+
+def _permutation_group(points: int, keep) -> FiniteGroup:
+    """The permutations of 0..points-1 passing ``keep``, composed as functions; the identity comes first."""
+    perms = [p for p in itertools.permutations(range(points)) if keep(p)]
+    index = {p: i for i, p in enumerate(perms)}
+    table = [[index[tuple(a[b[x]] for x in range(points))] for b in perms] for a in perms]
+    return FiniteGroup(table, f"perm{len(perms)}")
+
+
+def _is_even(p) -> bool:
+    return sum(p[i] > p[j] for i in range(len(p)) for j in range(i + 1, len(p))) % 2 == 0
+
+
+def _adjunction_by_coset_reps(G: FiniteGroup) -> list[bytes]:
+    """Oracle: from every subgroup found, adjoin one representative of each
+    left coset (its least element) and keep each closure not seen before."""
+    t = G.table
+    triv = np.zeros(G.order, dtype=bool)
+    triv[0] = True
+    found = {triv.tobytes(): triv}
+    queue = [triv]
+    while queue:
+        bools = queue.pop()
+        members = np.flatnonzero(bools)
+        for r in np.unique(t[:, members].min(axis=1)):
+            if bools[r]:
+                continue
+            new = _orbit_closure_all_generators(t, np.append(members, r))
+            if new.tobytes() not in found:
+                found[new.tobytes()] = new
+                queue.append(new)
+    return list(found)
+
+
+def _normal_lattice_all_class_seeds(G: FiniteGroup) -> set[bytes]:
+    """Oracle: closures of every conjugacy class, saturated under joins with
+    each seed, each join extending the member by the seed's class."""
+    t = G.table
+    seeds = {}
+    for cls in conjugacy_classes(G):
+        b = _orbit_closure(t, cls)
+        seeds.setdefault(b.tobytes(), (b, cls))
+    found = {key: b for key, (b, _) in seeds.items()}
+    work = list(found.values())
+    while work:
+        a = work.pop()
+        for s, cls in seeds.values():
+            if (s & ~a).any():
+                join = _orbit_closure(t, cls, a)
+                if join.tobytes() not in found:
+                    found[join.tobytes()] = join
+                    work.append(join)
+    return set(found)
+
+
+def _lattice_test_groups() -> list[FiniteGroup]:
+    """Catalog up to order 100, then S4 and A5 (perfect, not solvable) and the elementary abelian Z2^4."""
+    z2 = cyclic(2)
+    z2_4 = direct_product(direct_product(z2, z2), direct_product(z2, z2), "Z2^4")
+    return [e.group for e in ENTRIES] + [_permutation_group(4, lambda p: True), _permutation_group(5, _is_even), z2_4]
+
+
+def test_zuppos_are_the_cyclic_subgroups_of_prime_power_order():
+    for G in _lattice_test_groups():
+        zs, label = _zuppos(G)
+        orders = G.element_orders()
+        prime_power = np.array([len(prime_factors(int(q))) == 1 for q in orders])
+        assert np.array_equal(label >= 0, prime_power), G
+        cyclic_subs = {closure(G, [x]).bools.tobytes() for x in np.flatnonzero(prime_power)}
+        assert len(cyclic_subs) == zs.size and np.all(np.diff(zs) > 0), G
+        for x in np.flatnonzero(prime_power):  # x labels the zuppo it generates, whose least generator is listed
+            gen_set = np.flatnonzero(closure(G, [x]).bools & (orders == orders[x]))
+            assert zs[label[x]] == gen_set.min(), (G, x)
+
+
+def test_adjunction_enumeration_matches_coset_representative_oracle():
+    for G in _lattice_test_groups():
+        subs, complete = _adjunction_enumeration(G, _Budget(10**7))
+        keys = [b.tobytes() for b, _ in subs]
+        assert complete and len(keys) == len(set(keys)), G  # each subgroup reached once
+        assert set(keys) == set(_adjunction_by_coset_reps(G)), G
+        for b, gens in subs:  # the chain's zuppos generate what they reached
+            assert np.array_equal(_orbit_closure_all_generators(G.table, gens), b), G
+
+
+def test_normal_lattice_matches_all_class_seed_oracle():
+    for G in _lattice_test_groups():
+        got = [N.bools.tobytes() for N in _normal_lattice(G)]
+        assert len(got) == len(set(got)), G
+        assert set(got) == _normal_lattice_all_class_seeds(G), G
