@@ -48,7 +48,8 @@ def cyclic(n: int, label: str | None = None, *, order_guard: int | None = None) 
     idx = np.arange(n, dtype=np.int32)
     table = (idx[:, None] + idx[None, :]) % n
     table.setflags(write=False)
-    return FiniteGroup(table, label or f"Z{n}", order_guard=order_guard)
+    # addition of residues mod n is a group with identity 0
+    return FiniteGroup(table, label or f"Z{n}", validate=False, order_guard=order_guard)
 
 
 def units_residues(p: int, k: int) -> list[int]:
@@ -70,7 +71,8 @@ def units_mod(p: int, k: int, label: str | None = None, *, order_guard: int | No
     pos[res] = np.arange(res.size, dtype=np.int32)
     table = pos[(res[:, None] * res[None, :]) % m]
     table.setflags(write=False)
-    return FiniteGroup(table, label or f"U{m}", order_guard=order_guard)
+    # the units of a ring form a group; residue 1 sits at index 0
+    return FiniteGroup(table, label or f"U{m}", validate=False, order_guard=order_guard)
 
 
 def _pair_table(left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -97,7 +99,8 @@ def direct_product(
     _guard(na * nb, order_guard)
     # grid axes (a1, b1, a2, b2): (a1*a2) * nb + b1*b2
     table = _pair_table(A.table[:, None, :, None] * nb, B.table[None, :, None, :])
-    return FiniteGroup(table, label or f"{A.label}x{B.label}", order_guard=order_guard)
+    # componentwise product of two groups, identity (0, 0) = 0
+    return FiniteGroup(table, label or f"{A.label}x{B.label}", validate=False, order_guard=order_guard)
 
 
 ActionTable = np.ndarray  # shape (|H|, |N|): action[h] is a permutation of N
@@ -196,7 +199,8 @@ def semidirect(
     # grid axes (a1, h1, a2, h2): (a1 * act_{h1}(a2)) * nh + h1*h2
     ta = N.table[:, act] * nh
     table = _pair_table(ta[:, :, :, None], H.table[None, :, None, :])
-    G = FiniteGroup(table, label or f"{N.label}:{H.label}", order_guard=order_guard)
+    # a group once act is a homomorphism into Aut(N), which _validate_action proved
+    G = FiniteGroup(table, label or f"{N.label}:{H.label}", validate=False, order_guard=order_guard)
     normal = Subgroup(G, np.arange(nn, dtype=np.int32) * nh, _checked=True)
     acting = Subgroup(G, np.arange(nh, dtype=np.int32), _checked=True)
     return SemidirectProduct(G, normal, acting, N, H, act)

@@ -215,10 +215,14 @@ def _scan_associativity(table: np.ndarray) -> list[int]:
 class FiniteGroup:
     """A finite group given by a complete multiplication table.
 
-    ``table[a, b]`` is the index of the product a*b.  The identity is
-    normalized to index 0 and the inverse table is computed up front.
-    The table is copied, unless it is a read-only int32 array that owns its
-    data: constructors freeze a fresh table and hand it over.
+    ``table[a, b]`` is the index of the product a*b and the identity is
+    index 0.  The table is copied, unless it is a read-only int32 array that
+    owns its data: constructors freeze a fresh table and hand it over.
+    ``validate=True`` treats the table as raw input: range check, identity
+    found and relabelled to 0, inverse search and Light's test.
+    ``validate=False`` is the caller's promise of a group with identity 0:
+    inverses are x^(n-1), and an O(n) check of row and column 0 and of
+    x*x^(n-1) = 0 turns a broken promise into a ``GroupError``.
     """
 
     def __init__(
@@ -242,22 +246,25 @@ class FiniteGroup:
         n = t.shape[0]
         if n > guard:
             raise OrderGuardExceeded(n, guard)
-        if t.min() < 0 or t.max() >= n:
-            raise ParamOutOfRange("table entries must be element indices in range")
-
-        ident = self._find_identity(t)
-        if ident is None:
-            raise NoIdentity("no two-sided identity element in table")
-        if ident != 0:
-            perm = np.arange(n, dtype=np.int32)
-            perm[0], perm[ident] = ident, 0
-            t = perm[t[np.ix_(perm, perm)]]
-
-        inv = np.argmax(t == 0, axis=1).astype(np.int32)
-        bad = np.flatnonzero(t[np.arange(n), inv] != 0)
+        idx = np.arange(n, dtype=np.int32)
+        if validate:
+            if t.min() < 0 or t.max() >= n:
+                raise ParamOutOfRange("table entries must be element indices in range")
+            ident = self._find_identity(t)
+            if ident is None:
+                raise NoIdentity("no two-sided identity element in table")
+            if ident != 0:
+                perm = idx.copy()
+                perm[0], perm[ident] = ident, 0
+                t = perm[t[np.ix_(perm, perm)]]
+            inv = np.argmax(t == 0, axis=1).astype(np.int32)
+        else:
+            if not (np.array_equal(t[0], idx) and np.array_equal(t[:, 0], idx)):
+                raise NoIdentity("element 0 is not a two-sided identity")
+            inv = power_map(t, idx, n - 1)
+        bad = np.flatnonzero(t[idx, inv] != 0)
         if bad.size:
             raise MissingInverse(int(bad[0]))
-
         gens = _scan_associativity(t) if validate else None
 
         t.setflags(write=False)

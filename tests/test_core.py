@@ -19,6 +19,7 @@ from pfg.core import (
     BadAction,
     DifferentParents,
     DomainMismatch,
+    FiniteGroup,
     GroupError,
     GroupHom,
     MissingInverse,
@@ -39,6 +40,7 @@ from pfg.core import (
     preimage,
     quotient,
     subgroup_algebra,
+    subgroup_as_group,
     trivial_subgroup,
     whole_subgroup,
 )
@@ -201,6 +203,34 @@ class TestCatalogConstruct:
             cyclic(0)
         with pytest.raises(ParamOutOfRange):
             units_mod(4, 1)
+
+
+class TestProvenConstruction:
+    def test_constructors_skip_the_associativity_scan(self, monkeypatch):
+        import pfg.core as core
+        from pfg.tower import build_tower
+
+        calls = []
+        scan = core._scan_associativity
+        monkeypatch.setattr(core, "_scan_associativity", lambda t: calls.append(t.shape[0]) or scan(t))
+        direct_product(cyclic(4), units_mod(3, 2))
+        sd = semidirect(cyclic(5), cyclic(2), inversion_action)
+        D = dihedral(6).group
+        for kind, params in (("zp", (2,)), ("zpn", (3, 2)), ("units_semidirect", (3,)), ("s3_times_z2", ())):
+            build_tower(kind, params, 3)
+        build_tower("product", (build_tower("zp", (2,), 2), build_tower("zp", (3,), 2)), 2)
+        quotient(D, closure(D, [2]))
+        subgroup_as_group(sd.group, sd.normal_part)
+        assert calls == []
+        build_from_table(z4_table())
+        assert calls == [4]
+
+    def test_broken_promise_is_a_group_error(self):
+        shifted = np.roll(np.array(z4_table()), 1, axis=1)  # a*b = a+b-1: identity at index 1
+        with pytest.raises(NoIdentity):
+            FiniteGroup(shifted, validate=False)
+        with pytest.raises(MissingInverse):
+            FiniteGroup([[0, 1, 2], [1, 2, 2], [2, 2, 2]], validate=False)
 
 
 class TestClosure:

@@ -1,5 +1,7 @@
 """Scenario language: parsing, diagnostics, validation, round-trips."""
 
+import re
+
 import pytest
 
 from pfg.dsl import (
@@ -235,6 +237,33 @@ class TestConstructionErrorsLocated:
         from pfg.cli import main
 
         assert main(["run", str(path)]) == 2
+
+
+class TestRawTableDiagnostics:
+    """A table(...) file is raw input: it keeps every check, down to Light's test."""
+
+    def _run(self, tmp_path, capsys, cell, value):
+        from pfg.cli import main
+        from pfg.construct import dihedral
+
+        t = dihedral(4).group.table.copy()
+        t[cell] = value
+        (tmp_path / "d8.txt").write_text("\n".join(" ".join(map(str, row)) for row in t))
+        path = tmp_path / "d8.pfg"
+        path.write_text('group G = table("d8.txt")\nanalyze o_pi(G, {2})\n')
+        assert main(["run", str(path)]) == 2
+        return t, capsys.readouterr().err
+
+    def test_corrupted_entry_is_a_located_triple(self, tmp_path, capsys):
+        t, err = self._run(tmp_path, capsys, (3, 4), 1)
+        m = re.search(r"NotAssociative: associativity fails at triple \((\d+), (\d+), (\d+)\) \(line 1, column 1\)", err)
+        assert m, err
+        x, y, z = map(int, m.groups())
+        assert t[t[x, y], z] != t[x, t[y, z]]
+
+    def test_out_of_range_entry_is_located(self, tmp_path, capsys):
+        _, err = self._run(tmp_path, capsys, (3, 4), 8)
+        assert "ParamOutOfRange: table entries must be element indices in range (line 1, column 1)" in err
 
 
 class TestBuiltinEndos:

@@ -3,6 +3,7 @@
 import itertools
 import signal
 import tracemalloc
+from functools import lru_cache
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,11 +11,13 @@ from hypothesis import given, settings, strategies as st
 
 from pfg.catalog import builtin_entries, paper_example_level, random_endo, random_subgroup
 from pfg.core import (
+    BadAction,
     FiniteGroup,
     GroupError,
     NotAssociative,
     Subgroup,
     _orbit_closure,
+    _scan_associativity,
     closure,
     conjugation_hom,
     derived_series,
@@ -30,7 +33,7 @@ from pfg.core import (
 )
 from pfg.dsl import ScenarioError, _expand_hom
 from pfg.endo import _deep_power, _eventual_cycle_containment, _window_all, contraction, hom_search, shrinkind_check
-from pfg.construct import cyclic, direct_product, is_prime
+from pfg.construct import cyclic, direct_product, is_prime, semidirect, unit_semidirect_level
 from pfg.lattice import (
     AutoSet,
     _adjunction_enumeration,
@@ -43,6 +46,7 @@ from pfg.lattice import (
     prime_factors,
     residual_intersection,
 )
+from pfg.tower import build_tower
 
 
 def _scan_associativity_full(table: np.ndarray) -> None:
@@ -300,6 +304,23 @@ def test_constructed_groups_pass_full_associativity_scan():
         _scan_associativity_full(H.table)
 
 
+def test_constructed_groups_pass_light_test_and_keep_their_inverses():
+    # constructors skip Light's test (groups by proof), so run the raw-table
+    # proof on every tower builder's levels, both paper levels and order 4374
+    towers = [("zp", (2,)), ("zp", (3,)), ("zpn", (2, 2)), ("units_semidirect", (2,))]
+    towers += [("units_semidirect", (3,)), ("s3_times_z2", ())]
+    towers.append(("product", (build_tower("zp", (2,), 3), build_tower("zp", (3,), 3))))
+    proved = [G for kind, params in towers for G in build_tower(kind, params, 3)[0].levels]
+    proved += [paper_example_level(2, 6)[0].group, paper_example_level(7, 2)[0].group]
+    proved.append(unit_semidirect_level(3, 4).group)
+    for G in proved:
+        assert _scan_associativity(G.table) == G.generators()
+    for G in proved + [e.group for e in builtin_entries(500)]:
+        idx = np.arange(G.order)
+        assert np.array_equal(G.table[0], idx) and np.array_equal(G.table[:, 0], idx)
+        assert np.array_equal(G.inv, np.argmax(G.table == 0, axis=1)), G
+
+
 def test_identity_and_inverse_laws_hold_everywhere():
     for entry in builtin_entries(60):
         G = entry.group
@@ -325,6 +346,55 @@ def test_one_corrupted_entry_accepted_only_if_oracle_accepts(entry, data):
         pass
     else:
         _scan_associativity_full(t)
+
+
+SMALL = [e.group for e in builtin_entries(12)]
+
+
+@lru_cache(maxsize=None)
+def _automorphisms(i: int) -> tuple[np.ndarray, ...]:
+    N = SMALL[i]
+    return tuple(w.map for w in hom_search(N, N, witness_cap=10**6).witnesses)
+
+
+def _is_action_brute(N: FiniteGroup, H: FiniteGroup, act: np.ndarray) -> bool:
+    """Oracle: every row an automorphism of N, and act_(xy) = act_x after act_y, on all pairs."""
+    autos = all(sorted(a) == list(range(N.order)) and np.array_equal(a[N.table], N.table[np.ix_(a, a)]) for a in act)
+    return autos and np.array_equal(act[H.table], act[:, act])
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_random_action_is_rejected_or_gives_a_group(data):
+    # rows are powers of one automorphism over a cyclic H (a valid action when
+    # its order divides |H|) or the identity over any small H, and then some
+    # rows are replaced by other automorphisms or by permutations fixing 0
+    i = data.draw(st.integers(0, len(SMALL) - 1))
+    N, autos = SMALL[i], _automorphisms(i)
+    n = N.order
+    if data.draw(st.booleans()):
+        H = cyclic(data.draw(st.integers(1, 6)))
+        alpha = autos[data.draw(st.integers(0, len(autos) - 1))]
+        act = np.empty((H.order, n), dtype=np.int32)
+        act[0] = np.arange(n)
+        for h in range(1, H.order):
+            act[h] = alpha[act[h - 1]]
+    else:
+        H = SMALL[data.draw(st.integers(0, len(SMALL) - 1))]
+        act = np.tile(np.arange(n, dtype=np.int32), (H.order, 1))
+    for _ in range(data.draw(st.integers(0, 2))):
+        h = data.draw(st.integers(0, H.order - 1))
+        if data.draw(st.booleans()):
+            act[h] = autos[data.draw(st.integers(0, len(autos) - 1))]
+        else:
+            act[h] = [0, *data.draw(st.permutations(range(1, n)))]
+    try:
+        G = semidirect(N, H, act).group
+    except BadAction:
+        assert not _is_action_brute(N, H, act)
+        return
+    _scan_associativity_full(G.table)
+    assert _is_action_brute(N, H, act)
 
 
 def test_is_normal_matches_conjugation_by_every_element():
