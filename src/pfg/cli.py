@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
+from .core import MAX_ORDER
 from .dsl import ScenarioError, parse, validate
 from .report import Report, RunConfig, emit, run
 
@@ -76,6 +77,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     if args.command == "run":
+        if args.order_guard is not None and args.order_guard > MAX_ORDER:
+            p_run.error(f"argument --order-guard: at most {MAX_ORDER}, the largest order an int16 table holds; got {args.order_guard}")
         try:
             source = Path(args.file).read_text(encoding="utf-8")
         except OSError as exc:

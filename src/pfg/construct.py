@@ -16,17 +16,10 @@ import numpy as np
 from .core import (
     BadAction,
     FiniteGroup,
-    OrderGuardExceeded,
     ParamOutOfRange,
     Subgroup,
-    DEFAULT_ORDER_GUARD,
+    check_order,
 )
-
-
-def _guard(n: int, order_guard: int | None) -> None:
-    guard = DEFAULT_ORDER_GUARD if order_guard is None else order_guard
-    if n > guard:
-        raise OrderGuardExceeded(n, guard)
 
 
 def is_prime(p: int) -> bool:
@@ -44,9 +37,12 @@ def cyclic(n: int, label: str | None = None, *, order_guard: int | None = None) 
     """Cyclic group of order n in additive notation; element index = residue."""
     if n < 1:
         raise ParamOutOfRange(f"cyclic order must be >= 1, got {n}")
-    _guard(n, order_guard)
-    idx = np.arange(n, dtype=np.int32)
-    table = (idx[:, None] + idx[None, :]) % n
+    check_order(n, order_guard)
+    idx = np.arange(n, dtype=np.int16)
+    # row i is 0..n-1 rotated left by i, copied out of overlapping windows
+    # on 0..n-1, 0..n-2: no sum i + j, which would pass 32767, is formed
+    ext = np.concatenate([idx, idx[:-1]])
+    table = np.lib.stride_tricks.as_strided(ext, (n, n), ext.strides * 2).copy()
     table.setflags(write=False)
     # addition of residues mod n is a group with identity 0
     return FiniteGroup(table, label or f"Z{n}", validate=False, order_guard=order_guard)
@@ -66,9 +62,10 @@ def units_mod(p: int, k: int, label: str | None = None, *, order_guard: int | No
         raise ParamOutOfRange(f"units_mod needs k >= 1, got {k}")
     m = p**k
     res = np.array(units_residues(p, k), dtype=np.int64)
-    _guard(res.size, order_guard)
-    pos = np.full(m, -1, dtype=np.int32)
-    pos[res] = np.arange(res.size, dtype=np.int32)
+    check_order(res.size, order_guard)
+    pos = np.full(m, -1, dtype=np.int16)
+    pos[res] = np.arange(res.size, dtype=np.int16)
+    # the int64 products stay below m^2; only positions < |U| reach the table
     table = pos[(res[:, None] * res[None, :]) % m]
     table.setflags(write=False)
     # the units of a ring form a group; residue 1 sits at index 0
@@ -85,7 +82,7 @@ def _pair_table(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """
     na, nb = left.shape[0], right.shape[1]
     n = na * nb
-    table = np.empty((n, n), dtype=np.int32)
+    table = np.empty((n, n), dtype=np.int16)
     np.add(left, right, out=table.reshape(na, nb, na, nb))
     table.setflags(write=False)
     return table
@@ -96,8 +93,8 @@ def direct_product(
 ) -> FiniteGroup:
     """A x B with pair encoding (a, b) -> a*|B| + b."""
     na, nb = A.order, B.order
-    _guard(na * nb, order_guard)
-    # grid axes (a1, b1, a2, b2): (a1*a2) * nb + b1*b2
+    check_order(na * nb, order_guard)
+    # grid axes (a1, b1, a2, b2): (a1*a2) * nb + b1*b2, at most (na-1)*nb + nb-1 = n-1
     table = _pair_table(A.table[:, None, :, None] * nb, B.table[None, :, None, :])
     # componentwise product of two groups, identity (0, 0) = 0
     return FiniteGroup(table, label or f"{A.label}x{B.label}", validate=False, order_guard=order_guard)
@@ -193,10 +190,10 @@ def semidirect(
 ) -> SemidirectProduct:
     """Semidirect product on pairs (a, h) with (a,h)(b,k) = (a*act_h(b), hk)."""
     nn, nh = N.order, H.order
-    _guard(nn * nh, order_guard)
+    check_order(nn * nh, order_guard)
     act = action(N, H) if callable(action) else np.asarray(action, dtype=np.int32)
     _validate_action(N, H, act)
-    # grid axes (a1, h1, a2, h2): (a1 * act_{h1}(a2)) * nh + h1*h2
+    # grid axes (a1, h1, a2, h2): (a1 * act_{h1}(a2)) * nh + h1*h2, at most (nn-1)*nh + nh-1 = n-1
     ta = N.table[:, act] * nh
     table = _pair_table(ta[:, :, :, None], H.table[None, :, None, :])
     # a group once act is a homomorphism into Aut(N), which _validate_action proved

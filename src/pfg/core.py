@@ -14,6 +14,8 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 DEFAULT_ORDER_GUARD = 5000
+# tables and inverses are int16, so no order exceeds 32767, whatever the guard
+MAX_ORDER = int(np.iinfo(np.int16).max)
 # rows per block in the associativity scan, to bound its working memory
 _ASSOC_BLOCK = 64
 
@@ -59,6 +61,13 @@ class OrderGuardExceeded(GroupError):
         self.order = order
         self.guard = guard
         super().__init__(f"order {order} exceeds the order guard {guard}")
+
+
+def check_order(n: int, order_guard: int | None) -> None:
+    """Raise before any table is allocated; no guard lets an order past ``MAX_ORDER``."""
+    guard = min(MAX_ORDER, DEFAULT_ORDER_GUARD if order_guard is None else order_guard)
+    if n > guard:
+        raise OrderGuardExceeded(n, guard)
 
 
 class DifferentParents(GroupError):
@@ -216,8 +225,10 @@ class FiniteGroup:
     """A finite group given by a complete multiplication table.
 
     ``table[a, b]`` is the index of the product a*b and the identity is
-    index 0.  The table is copied, unless it is a read-only int32 array that
-    owns its data: constructors freeze a fresh table and hand it over.
+    index 0.  Tables and inverses are int16, which holds every order up to
+    ``MAX_ORDER``.  The table is adopted if it is a read-only int16 array
+    that owns its data (constructors write such a table and hand it over);
+    anything else is range-checked as given and then copied into int16.
     ``validate=True`` treats the table as raw input: range check, identity
     found and relabelled to 0, inverse search and Light's test.
     ``validate=False`` is the caller's promise of a group with identity 0:
@@ -233,23 +244,24 @@ class FiniteGroup:
         validate: bool = True,
         order_guard: int | None = None,
     ):
-        guard = DEFAULT_ORDER_GUARD if order_guard is None else order_guard
         adopt = (
             isinstance(table, np.ndarray)
-            and table.dtype == np.int32
+            and table.dtype == np.int16
             and table.flags.owndata
             and not table.flags.writeable
         )
-        t = table if adopt else np.array(table, dtype=np.int32)
+        t = table if adopt else np.asarray(table)
         if t.ndim != 2 or t.shape[0] != t.shape[1] or t.shape[0] == 0:
             raise ParamOutOfRange(f"multiplication table must be square and non-empty, got shape {t.shape}")
         n = t.shape[0]
-        if n > guard:
-            raise OrderGuardExceeded(n, guard)
-        idx = np.arange(n, dtype=np.int32)
+        check_order(n, order_guard)
+        # checked before narrowing, so that 65539 cannot wrap round to 3
+        if (validate or not adopt) and (t.min() < 0 or t.max() >= n):
+            raise ParamOutOfRange("table entries must be element indices in range")
+        if not adopt:
+            t = t.astype(np.int16)
+        idx = np.arange(n, dtype=np.int16)
         if validate:
-            if t.min() < 0 or t.max() >= n:
-                raise ParamOutOfRange("table entries must be element indices in range")
             ident = self._find_identity(t)
             if ident is None:
                 raise NoIdentity("no two-sided identity element in table")
@@ -257,7 +269,7 @@ class FiniteGroup:
                 perm = idx.copy()
                 perm[0], perm[ident] = ident, 0
                 t = perm[t[np.ix_(perm, perm)]]
-            inv = np.argmax(t == 0, axis=1).astype(np.int32)
+            inv = np.argmax(t == 0, axis=1).astype(np.int16)
         else:
             if not (np.array_equal(t[0], idx) and np.array_equal(t[:, 0], idx)):
                 raise NoIdentity("element 0 is not a two-sided identity")
@@ -480,7 +492,7 @@ def subgroup_algebra(S1: Subgroup, S2: Subgroup) -> SubgroupAlgebra:
         raise DifferentParents("subgroups have different parents")
     G = S1.parent
     inter = Subgroup(G, S1.bools & S2.bools, _checked=True)
-    prod = np.unique(G.table[np.ix_(S1.members, S2.members)])
+    prod = np.unique(G.table[np.ix_(S1.members, S2.members)]).astype(np.int32)  # element lists stay int32
     closed = bool(np.isin(G.table[np.ix_(prod, prod)], prod).all())
     return SubgroupAlgebra(
         intersection=inter,
@@ -607,7 +619,7 @@ def quotient(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, GroupHom]:
     if not is_normal(G, N):
         raise NotNormal("quotient requires a normal subgroup")
     table, members = G.table, N.members
-    label = np.full(G.order, -1, dtype=np.int32)
+    label = np.full(G.order, -1, dtype=np.int16)  # labels < |G/N|
     reps: list[int] = []
     for x in range(G.order):
         if label[x] < 0:
@@ -623,9 +635,9 @@ def quotient(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, GroupHom]:
 def subgroup_as_group(G: FiniteGroup, S: Subgroup, label: str | None = None) -> tuple[FiniteGroup, GroupHom]:
     """S as a group in its own right together with the inclusion into G."""
     m = S.members
-    pos = np.full(G.order, -1, dtype=np.int32)
-    pos[m] = np.arange(m.size, dtype=np.int32)
-    table = pos[G.table[np.ix_(m, m)]]
+    pos = np.full(G.order, -1, dtype=np.int16)
+    pos[m] = np.arange(m.size, dtype=np.int16)
+    table = pos[G.table[np.ix_(m, m)]]  # positions < |S|
     table.setflags(write=False)
     H = FiniteGroup(table, label or f"{G.label}|{S.size}", validate=False)
     incl = GroupHom(H, G, m, validate=False)

@@ -45,6 +45,7 @@ from .core import (
     FiniteGroup,
     GroupError,
     GroupHom,
+    MAX_ORDER,
     NotAHomomorphism,
     OrderGuardExceeded,
     closure,
@@ -642,7 +643,10 @@ class _Parser:
         if key not in OPTION_KEYS:
             self.error(f"unknown option {key!r}; the options are {', '.join(sorted(OPTION_KEYS))}", at)
         self.expect_sym("=")
+        at = self.peek()
         value = self.expect_int()
+        if key == "order_guard" and value > MAX_ORDER:
+            self.error(f"order_guard must be at most {MAX_ORDER}, the largest order an int16 table holds; got {value}", at)
         return Option(kw.line, kw.column, key, value)
 
 

@@ -112,19 +112,33 @@ def _adjunction_enumeration(G: FiniteGroup, budget: _Budget) -> tuple[list[tuple
     make up the child's canonical chain: each subgroup is reached once, in
     every finite group.
     """
-    t = G.table
+    t, n = G.table, G.order
     zs, label = _zuppos(G)
-    triv = np.arange(G.order) == 0
+    # a row per prime p of n: the zuppo of the p-part of each x, which
+    # x^m generates for m the p'-part of n (-1 when x has no p-part)
+    idx = np.arange(n, dtype=np.int32)
+    parts = []
+    for p in prime_factors(n):
+        m = n
+        while m % p == 0:
+            m //= p
+        parts.append(label[power_map(t, idx, m)])
+    parts = np.array(parts, dtype=np.int32).reshape(-1, n)
+    triv = idx == 0
     found = [(triv, ())]
     stack = [(triv, (), -1)]
     while stack:
         bools, gens, last = stack.pop()
         inside, members = bools[zs], np.flatnonzero(bools)
+        outside = np.append(~inside, False)  # the last slot answers label -1
         for j in range(last + 1, zs.size):
             if inside[j]:
                 continue
-            coset = label[t[members, zs[j]]]  # the zuppo a member of H*z_j generates: in the child, not in H
-            if ((0 <= coset) & (coset < j)).any():
+            # a prime-power part of a member of H*z_j is a power of it, so it
+            # lies in the child: a zuppo it generates below z_j and outside H
+            # sends the child's canonical chain elsewhere
+            lab = parts[:, t[members, zs[j]]]
+            if (outside[lab] & (lab < j)).any():
                 continue
             new_gens = gens + (int(zs[j]),)
             new = _orbit_closure(t, new_gens, bools)

@@ -131,9 +131,9 @@ class TestBuildFromTable:
         with pytest.raises(OrderGuardExceeded):
             cyclic(100, order_guard=50)
 
-    def test_only_frozen_owning_int32_tables_are_adopted(self):
-        writable = np.array(z4_table(), dtype=np.int32)
-        frozen = np.array(z4_table(), dtype=np.int32)
+    def test_only_frozen_owning_int16_tables_are_adopted(self):
+        writable = np.array(z4_table(), dtype=np.int16)
+        frozen = np.array(z4_table(), dtype=np.int16)
         frozen.setflags(write=False)
         view = np.tile(frozen, (2, 2))[:4, :4]
         view.setflags(write=False)
@@ -142,6 +142,140 @@ class TestBuildFromTable:
             assert not np.shares_memory(G.table, table)
             assert not G.table.flags.writeable
         assert build_from_table(frozen).table is frozen
+
+
+    def test_wide_entries_are_range_checked_before_narrowing(self):
+        # 2**16 + 1 would wrap round to 1 in int16, a valid index of Z4
+        wide = np.array(z4_table(), dtype=np.int64)
+        wide[1, 2] = 2**16 + 1
+        with pytest.raises(ParamOutOfRange):
+            build_from_table(wide)
+
+    def test_order_past_int16_is_refused_before_allocation(self):
+        import tracemalloc
+
+        huge = np.broadcast_to(np.int16(0), (40000, 40000))  # a view: no memory behind it
+        tracemalloc.start()
+        try:
+            with pytest.raises(OrderGuardExceeded, match="guard 32767"):
+                cyclic(40000, order_guard=10**6)
+            with pytest.raises(OrderGuardExceeded, match="guard 32767"):
+                FiniteGroup(huge, validate=False, order_guard=10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+
+# int64 closed forms of the constructors' tables, as functions of broadcast
+# element indices x (rows) and y (columns); pair encoding is left-major
+def _cyclic_ref(n):
+    return lambda x, y: (x + y) % n
+
+
+def _units_ref(p, k):
+    m = p**k
+    res = np.array([r for r in range(1, m) if r % p], dtype=np.int64)
+    pos = np.full(m, -1, dtype=np.int64)
+    pos[res] = np.arange(res.size)
+    return lambda x, y: pos[res[x] * res[y] % m]
+
+
+def _product_ref(ref_a, ref_b, nb):
+    return lambda x, y: ref_a(x // nb, y // nb) * nb + ref_b(x % nb, y % nb)
+
+
+def _semidirect_ref(ref_n, act, ref_h, nh):
+    """(a, h)(b, k) = (a * act[h, b], h * k)."""
+    return lambda x, y: ref_n(x // nh, act[x % nh, y // nh]) * nh + ref_h(x % nh, y % nh)
+
+
+def _dihedral_ref(n):
+    b = np.arange(n, dtype=np.int64)
+    return _semidirect_ref(_cyclic_ref(n), np.stack([b, -b % n]), _cyclic_ref(2), 2)
+
+
+def _unit_level_ref(p, k):
+    m = p**k
+    res = np.array([r for r in range(1, m) if r % p], dtype=np.int64)
+    act = res[:, None] * np.arange(m, dtype=np.int64) % m
+    return _semidirect_ref(_cyclic_ref(m), act, _units_ref(p, k), res.size)
+
+
+def _assert_int16_table(G, ref):
+    """``table`` and ``inv`` are read-only, owning int16 arrays equal to ``ref``,
+    compared in blocks of rows so that no int64 copy of a large table is made."""
+    for arr in (G.table, G.inv):
+        assert arr.dtype == np.int16 and arr.flags.owndata and not arr.flags.writeable
+    n = G.order
+    y = np.arange(n, dtype=np.int64)
+    for lo in range(0, n, 256):
+        x = np.arange(lo, min(n, lo + 256), dtype=np.int64)
+        rows = ref(x[:, None], y[None, :])
+        assert np.array_equal(G.table[lo : lo + 256], rows), (G.label, lo)
+        assert np.array_equal(G.inv[lo : lo + 256], np.argmax(rows == 0, axis=1)), (G.label, lo)
+
+
+class TestInt16Tables:
+    def test_constructors(self):
+        from pfg.catalog import paper_example_level
+
+        _assert_int16_table(cyclic(12), _cyclic_ref(12))
+        _assert_int16_table(build_from_table(_cyclic_ref(7)(*np.ogrid[:7, :7])), _cyclic_ref(7))
+        _assert_int16_table(units_mod(3, 3), _units_ref(3, 3))
+        _assert_int16_table(direct_product(cyclic(4), units_mod(5, 2)), _product_ref(_cyclic_ref(4), _units_ref(5, 2), 20))
+        act = np.array([[0, 1, 2, 3, 4], [0, 2, 4, 1, 3], [0, 4, 3, 2, 1], [0, 3, 1, 4, 2]])  # b -> 2^h * b mod 5
+        _assert_int16_table(semidirect(cyclic(5), cyclic(4), act).group, _semidirect_ref(_cyclic_ref(5), act, _cyclic_ref(4), 4))
+        _assert_int16_table(dihedral(9).group, _dihedral_ref(9))
+        _assert_int16_table(paper_example_level(2, 6)[0].group, _unit_level_ref(2, 6))  # order 2048
+        _assert_int16_table(paper_example_level(7, 2)[0].group, _unit_level_ref(7, 2))  # order 2058
+        _assert_int16_table(unit_semidirect_level(3, 4).group, _unit_level_ref(3, 4))  # order 4374
+
+    def test_quotient_and_subgroup_as_group(self):
+        D = dihedral(6).group
+        t = D.table.astype(np.int64)
+        for N in (closure(D, [2]), closure(D, [6])):  # rotations of order 3 and the centre
+            Q, proj = quotient(D, N)
+            cosets = sorted({tuple(sorted(t[x, N.members])) for x in range(D.order)})
+            reps = np.array([c[0] for c in cosets])
+            coset_of = np.empty(D.order, dtype=np.int64)
+            for i, c in enumerate(cosets):
+                coset_of[list(c)] = i
+            _assert_int16_table(Q, lambda x, y: coset_of[t[reps[x], reps[y]]])
+        sd = unit_semidirect_level(3, 3)
+        t = sd.group.table.astype(np.int64)
+        for S in (sd.normal_part, sd.acting_part):
+            H, incl = subgroup_as_group(sd.group, S)
+            m = S.members.astype(np.int64)
+            _assert_int16_table(H, lambda x, y: np.searchsorted(m, t[m[x], m[y]]))
+
+    def test_tower_levels(self):
+        from pfg.tower import build_tower
+
+        refs = {
+            "zp": lambda k: _cyclic_ref(2**k),
+            "zpn": lambda k: _product_ref(_cyclic_ref(3**k), _cyclic_ref(3**k), 3**k),
+            "units_semidirect": lambda k: _unit_level_ref(3, k),
+            "s3_times_z2": lambda k: _product_ref(_dihedral_ref(3), _cyclic_ref(2**k), 2**k),
+            "product": lambda k: _product_ref(_cyclic_ref(2**k), _cyclic_ref(3**k), 3**k),
+        }
+        params = {
+            "zp": (2,),
+            "zpn": (3, 2),
+            "units_semidirect": (3,),
+            "s3_times_z2": (),
+            "product": (build_tower("zp", (2,), 3), build_tower("zp", (3,), 3)),
+        }
+        for kind, ref in refs.items():
+            tower, _ = build_tower(kind, params[kind], 3)
+            for k, G in enumerate(tower.levels, start=1):
+                _assert_int16_table(G, ref(k))
+
+    def test_cyclic_5000_rows(self):
+        G = cyclic(5000)
+        j = np.arange(5000)
+        for i in (0, 1, 2499, 4999):
+            assert np.array_equal(G.table[i], (i + j) % 5000)
 
 
 class TestCatalogConstruct:

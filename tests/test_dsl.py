@@ -2,6 +2,7 @@
 
 import re
 
+import numpy as np
 import pytest
 
 from pfg.dsl import (
@@ -264,6 +265,55 @@ class TestRawTableDiagnostics:
     def test_out_of_range_entry_is_located(self, tmp_path, capsys):
         _, err = self._run(tmp_path, capsys, (3, 4), 8)
         assert "ParamOutOfRange: table entries must be element indices in range (line 1, column 1)" in err
+
+    def test_entry_past_int16_is_located_not_wrapped(self, tmp_path, capsys):
+        # 65539 would wrap round to 3 in int16; D8 has 5 at (3, 4), so a
+        # wrapped table would fail later with some other error
+        from pfg.cli import main
+        from pfg.construct import dihedral
+
+        t = dihedral(4).group.table.astype(np.int64)
+        assert t[3, 4] != 3
+        t[3, 4] = 65539
+        (tmp_path / "d8.txt").write_text("\n".join(" ".join(map(str, row)) for row in t))
+        source = 'group G = table("d8.txt")\n'
+        with pytest.raises(ScenarioError) as exc:
+            validate(parse(source).spec, base_dir=tmp_path)
+        assert exc.value.kind == "ParamOutOfRange"
+        assert (exc.value.line, exc.value.column) == (1, 1)
+        path = tmp_path / "d8.pfg"
+        path.write_text(source)
+        assert main(["run", str(path)]) == 2
+        assert "ParamOutOfRange: table entries must be element indices in range (line 1, column 1)" in capsys.readouterr().err
+
+
+class TestOrderLimit:
+    """int16 tables hold orders up to 32767, so a larger guard is refused where it is given."""
+
+    def test_set_order_guard_past_the_limit_is_located(self, tmp_path, capsys):
+        from pfg.cli import main
+
+        source = "group G = cyclic(4)\nset order_guard = 40000\n"
+        result = parse(source)
+        assert result.spec is None
+        (d,) = result.diagnostics
+        assert (d.line, d.column) == (2, 19) and "32767" in d.message
+        path = tmp_path / "big.pfg"
+        path.write_text(source)
+        assert main(["run", str(path)]) == 2
+        assert "line 2, column 19" in capsys.readouterr().err
+        assert parse("set order_guard = 32767\n").spec.options == {"order_guard": 32767}
+
+    def test_order_guard_flag_past_the_limit_exits_2(self, tmp_path, capsys):
+        from pfg.cli import main
+
+        path = tmp_path / "ok.pfg"
+        path.write_text("group G = cyclic(4)\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["run", str(path), "--order-guard", "40000"])
+        assert exc.value.code == 2
+        assert "--order-guard: at most 32767" in capsys.readouterr().err
+        assert main(["run", str(path), "--order-guard", "32767"]) == 0
 
 
 class TestBuiltinEndos:

@@ -74,6 +74,18 @@ class TestEnumerateSubgroups:
         assert [s.bools.tobytes() for s in cat.entries] == full
         assert budget > 1
 
+    def test_prime_power_parts_cut_dihedral_closures(self, monkeypatch):
+        # adjoining a second reflection puts a rotation of composite order in
+        # H*z_j; its prime-power parts rule the child out before its closure
+        import pfg.lattice as lattice
+
+        calls = []
+        closure_fn = lattice._orbit_closure
+        monkeypatch.setattr(lattice, "_orbit_closure", lambda *a: calls.append(1) or closure_fn(*a))
+        cat = all_subgroups(dihedral(45).group)
+        assert cat.complete and len(cat.entries) == 84
+        assert len(calls) <= 1.5 * len(cat.entries)
+
     def test_catalog_invariants(self):
         for G in (s3(), dihedral(4).group, cyclic(12)):
             for n in (1, 2, G.order):
