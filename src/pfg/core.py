@@ -268,7 +268,7 @@ class FiniteGroup:
             if ident != 0:
                 perm = idx.copy()
                 perm[0], perm[ident] = ident, 0
-                t = perm[t[np.ix_(perm, perm)]]
+                t = perm[t[perm[:, None], perm]]
             inv = np.argmax(t == 0, axis=1).astype(np.int16)
         else:
             if not (np.array_equal(t[0], idx) and np.array_equal(t[:, 0], idx)):
@@ -351,32 +351,39 @@ class Subgroup:
 
     def __init__(self, parent: FiniteGroup, members, *, _checked: bool = False):
         n = parent.order
-        bools = np.zeros(n, dtype=bool)
         arr = np.asarray(members)
         if arr.dtype == bool:
             if arr.shape != (n,):
                 raise ParamOutOfRange("membership array has wrong length")
-            bools[:] = arr
+            bools = arr.copy()
         else:
             idx = arr.astype(np.int64).ravel()
             if idx.size and (idx.min() < 0 or idx.max() >= n):
                 raise ParamOutOfRange("member index out of range")
+            bools = np.zeros(n, dtype=bool)
             bools[idx] = True
         if not _checked:
             self._validate_closed(parent, bools)
         bools.setflags(write=False)
         self.parent = parent
         self._bools = bools
-        self.size = int(bools.sum())
+        self.size = int(np.count_nonzero(bools))
         self._members: np.ndarray | None = None
 
     @staticmethod
     def _validate_closed(parent: FiniteGroup, bools: np.ndarray) -> None:
-        """Closure proved on greedy generators: each closure stays in the set, the last fills it."""
+        """Closure proved on greedy generators: each closure stays in the set, the last fills it.
+
+        On the whole group that walk is the one ``generators()`` makes and
+        keeps, so it runs once per group.
+        """
         if not bools[0]:
             raise GroupError("subgroup must contain the identity")
         if not bools[parent.inv[bools]].all():
             raise GroupError("set is not closed under inverses")
+        if bools.all():
+            parent.generators()
+            return
         gens: list[int] = []
         reached = np.zeros_like(bools)
         reached[0] = True
@@ -458,7 +465,7 @@ def is_normal(G: FiniteGroup, S: Subgroup) -> bool:
     normalizing S form a subgroup; containing the generators, it is all of G.
     """
     g = np.asarray(G.generators(), dtype=np.int32)
-    conj = G.table[G.table[np.ix_(g, S.members)], G.inv[g][:, None]]
+    conj = G.table[G.table[g[:, None], S.members], G.inv[g][:, None]]
     return bool(S.bools[conj].all())
 
 
@@ -492,8 +499,8 @@ def subgroup_algebra(S1: Subgroup, S2: Subgroup) -> SubgroupAlgebra:
         raise DifferentParents("subgroups have different parents")
     G = S1.parent
     inter = Subgroup(G, S1.bools & S2.bools, _checked=True)
-    prod = np.unique(G.table[np.ix_(S1.members, S2.members)]).astype(np.int32)  # element lists stay int32
-    closed = bool(np.isin(G.table[np.ix_(prod, prod)], prod).all())
+    prod = np.unique(G.table[S1.members[:, None], S2.members]).astype(np.int32)  # element lists stay int32
+    closed = bool(np.isin(G.table[prod[:, None], prod], prod).all())
     return SubgroupAlgebra(
         intersection=inter,
         product_set=prod,
@@ -506,7 +513,7 @@ def product_covers(G: FiniteGroup, S1: Subgroup, S2: Subgroup) -> bool:
     if S1.size * S2.size < G.order:
         return False
     hit = np.zeros(G.order, dtype=bool)
-    hit[G.table[np.ix_(S1.members, S2.members)]] = True
+    hit[G.table[S1.members[:, None], S2.members]] = True
     return bool(hit.all())
 
 
@@ -625,7 +632,8 @@ def quotient(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, GroupHom]:
         if label[x] < 0:
             label[table[x][members]] = len(reps)
             reps.append(x)
-    qtable = label[table[np.ix_(reps, reps)]]
+    r = np.asarray(reps)
+    qtable = label[table[r[:, None], r]]
     qtable.setflags(write=False)
     Q = FiniteGroup(qtable, f"{G.label}/N{N.size}", validate=False)
     proj = GroupHom(G, Q, label, validate=False)
@@ -637,7 +645,7 @@ def subgroup_as_group(G: FiniteGroup, S: Subgroup, label: str | None = None) -> 
     m = S.members
     pos = np.full(G.order, -1, dtype=np.int16)
     pos[m] = np.arange(m.size, dtype=np.int16)
-    table = pos[G.table[np.ix_(m, m)]]  # positions < |S|
+    table = pos[G.table[m[:, None], m]]  # positions < |S|
     table.setflags(write=False)
     H = FiniteGroup(table, label or f"{G.label}|{S.size}", validate=False)
     incl = GroupHom(H, G, m, validate=False)
@@ -680,7 +688,7 @@ def _commutator_series(G: FiniteGroup, lower: bool) -> list[Subgroup]:
     top = gens = np.asarray(G.generators(), dtype=np.int32)
     while True:
         other = top if lower else gens
-        cand = t[t[np.ix_(inv[gens], inv[other])], t[np.ix_(gens, other)]].ravel()
+        cand = t[t[inv[gens][:, None], inv[other]], t[gens[:, None], other]].ravel()
         bools = np.arange(G.order) == 0
         adjoined: list[int] = []
         while cand.size:

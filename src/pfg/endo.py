@@ -17,7 +17,7 @@ to the oracle whenever the two disagree.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -116,12 +116,31 @@ def _scatter(n: int, idx: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ContractionReport:
+    """Contraction, stable image and stabilization depth of a map or semigroup.
+
+    ``powers`` are the maps f^0, ..., f^(depth+1) of the endomorphism (for a
+    semigroup, of its tail map) and ``target`` is the membership array of K
+    (the trivial subgroup for a single endomorphism).  The chains are derived
+    from them when first read: ``kernel_chain[m]`` is {x : f^m(x) in K} and
+    ``image_chain[m]`` is f^m(G), one Subgroup per power.
+    """
+
     con: Subgroup
     stable_image: Subgroup
     depth: int
-    kernel_chain: tuple[Subgroup, ...]
-    image_chain: tuple[Subgroup, ...]
     checks: dict[str, bool]
+    powers: tuple[np.ndarray, ...] = field(repr=False, compare=False)
+    target: np.ndarray = field(repr=False, compare=False)
+
+    @cached_property
+    def kernel_chain(self) -> tuple[Subgroup, ...]:
+        G = self.con.parent
+        return tuple(Subgroup(G, self.target[p], _checked=True) for p in self.powers)
+
+    @cached_property
+    def image_chain(self) -> tuple[Subgroup, ...]:
+        G = self.con.parent
+        return tuple(Subgroup(G, p, _checked=True) for p in self.powers)
 
 
 def _power_chain(f_arr: np.ndarray) -> tuple[list[np.ndarray], int]:
@@ -193,9 +212,9 @@ def contraction(f: GroupHom) -> ContractionReport:
         con=con,
         stable_image=stable,
         depth=depth,
-        kernel_chain=tuple(Subgroup(G, p == 0, _checked=True) for p in powers),
-        image_chain=tuple(Subgroup(G, p, _checked=True) for p in powers),
         checks={"orbit_oracle_agrees": orbit_ok, "cycle_oracle_agrees": cycle_ok},
+        powers=tuple(powers),
+        target=_scatter(n, 0),
     )
 
 
@@ -226,8 +245,8 @@ def verify_theorem_a(G: FiniteGroup, f: GroupHom, rep: ContractionReport | None 
 
     witness = ""
     fk = np.arange(G.order, dtype=np.int32)
-    for k, image in enumerate(rep.image_chain[: rep.depth + 1]):
-        if diff := _set_witness(_scatter(G.order, fk[con.members]), con.bools & image.bools):
+    for k, power in enumerate(rep.powers[: rep.depth + 1]):
+        if diff := _set_witness(_scatter(G.order, fk[con.members]), con.bools & _scatter(G.order, power)):
             witness = f"k={k}: " + diff
             break
         fk = f.map[fk]
@@ -422,9 +441,9 @@ def semigroup_contraction(
         con=Subgroup(G, con_bools),  # validated: must be a subgroup by construction
         stable_image=Subgroup(G, stable_bools),
         depth=depth,
-        kernel_chain=tuple(Subgroup(G, K.bools[p], _checked=True) for p in powers),
-        image_chain=tuple(Subgroup(G, p, _checked=True) for p in powers),
         checks=checks,
+        powers=tuple(powers),
+        target=K.bools,
     )
 
 
@@ -456,7 +475,7 @@ def verify_splitthm(G: FiniteGroup, S: EndoSemigroup) -> CheckRecord:
 
     invariant = True
     for i, g in enumerate(S.generators):
-        img = hom_parts(g).image
+        img = Subgroup(G, g.map, _checked=True)
         checks.append(Check(f"con_product_with_image_covers_gen{i}", product_covers(G, con, img)))
         witness = _set_witness(con.bools & img.bools, _scatter(G.order, g.map[con.members]))
         checks.append(Check(f"con_meet_image_is_image_of_con_gen{i}", not witness, witness))

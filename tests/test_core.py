@@ -386,6 +386,30 @@ class TestClosure:
         with pytest.raises(GroupError):
             Subgroup(G, [0, 1])  # not closed: 1+1=2 missing
 
+    def test_subgroup_does_not_alias_a_writable_bool_array(self):
+        G = cyclic(4)
+        bools = np.array([True, False, True, False])
+        S = Subgroup(G, bools)
+        bools[1] = True
+        assert not np.shares_memory(S.bools, bools)
+        assert S.members.tolist() == [0, 2] and S.size == 2
+        assert not S.bools.flags.writeable
+        assert bools.flags.writeable  # the caller's array is left as it was
+
+    def test_whole_group_walk_runs_once_per_group(self, monkeypatch):
+        import pfg.core as core
+
+        calls = []
+        walk = core._orbit_closure
+        monkeypatch.setattr(core, "_orbit_closure", lambda *a: calls.append(1) or walk(*a))
+        G = dihedral(6).group
+        whole = np.ones(G.order, dtype=bool)
+        assert Subgroup(G, whole).is_whole
+        assert calls and G.generators()  # the walk ran, and generators() keeps it
+        ran = len(calls)
+        Subgroup(G, whole)
+        assert len(calls) == ran
+
 
 class TestNormalityOps:
     def test_whole_group(self):

@@ -24,6 +24,7 @@ from pfg.endo import (
     contraction,
     fewprimes_check,
     hom_search,
+    semigroup_contraction,
     shrinkind_check,
     tfrelstab_ii_check,
     verify_regulation,
@@ -68,6 +69,35 @@ class TestContraction:
         rep = contraction(GroupHom(G, G, [(2 * x) % 8 for x in range(8)]))
         assert rep.con.size == 4  # ker f^2, where the whole group contracts
         assert not rep.checks["orbit_oracle_agrees"]
+
+    def test_chains_are_built_only_when_read(self, monkeypatch):
+        import pfg.core as core
+
+        sd, phi = paper_example_level(3, 2)
+        S = EndoSemigroup(sd.group, [phi])
+        built = []
+        init = core.Subgroup.__init__
+
+        def counting(self, parent, members, **kw):
+            built.append(parent.order)
+            init(self, parent, members, **kw)
+
+        monkeypatch.setattr(core.Subgroup, "__init__", counting)
+        rep = contraction(phi)
+        assert len(built) == 2  # con and stable
+        assert len(rep.kernel_chain) == len(rep.image_chain) == rep.depth + 2
+        assert len(built) == 2 + 2 * (rep.depth + 2)
+        rep.kernel_chain, rep.image_chain  # read once, kept
+        assert len(built) == 2 + 2 * (rep.depth + 2)
+
+        built.clear()
+        rep = semigroup_contraction(S)
+        assert len(built) == 3  # con, stable and the trivial K
+        built.clear()
+        rep = semigroup_contraction(S, sd.acting_part)
+        assert len(built) == 2
+        rep.kernel_chain
+        assert len(built) == 2 + rep.depth + 2
 
     def test_kernel_chain_strictly_ascends_then_stabilizes(self):
         sd, phi = paper_example_level(3, 3)

@@ -14,6 +14,7 @@ from pfg.core import (
     BadAction,
     FiniteGroup,
     GroupError,
+    GroupHom,
     NotAssociative,
     Subgroup,
     _orbit_closure,
@@ -27,12 +28,23 @@ from pfg.core import (
     lower_central_series,
     nilpotency,
     preimage,
+    product_covers,
     quotient,
     subgroup_as_group,
+    trivial_subgroup,
     whole_subgroup,
 )
 from pfg.dsl import ScenarioError, _expand_hom
-from pfg.endo import _deep_power, _eventual_cycle_containment, _window_all, contraction, hom_search, shrinkind_check
+from pfg.endo import (
+    EndoSemigroup,
+    _deep_power,
+    _eventual_cycle_containment,
+    _window_all,
+    contraction,
+    hom_search,
+    semigroup_contraction,
+    shrinkind_check,
+)
 from pfg.construct import cyclic, direct_product, is_prime, semidirect, unit_semidirect_level
 from pfg.lattice import (
     AutoSet,
@@ -245,6 +257,47 @@ def test_contraction_chain_shape(entry, seed):
     assert rep.depth <= np.log2(entry.group.order) + 1e-9 if entry.group.order > 1 else rep.depth == 0
 
 
+def _eager_chains(G: FiniteGroup, tail: np.ndarray, k_bools: np.ndarray) -> tuple[list[Subgroup], list[Subgroup]]:
+    """Oracle: both chains built up front, one validated Subgroup per power
+    tail^0, tail^1, ... until ker tail^m stops growing, and one power past."""
+    p = np.arange(G.order)
+    kernels: list[Subgroup] = []
+    images: list[Subgroup] = []
+    sizes = [-1]
+    while len(sizes) < 3 or sizes[-1] != sizes[-2]:
+        kernels.append(Subgroup(G, k_bools[p]))
+        images.append(Subgroup(G, p))
+        sizes.append(int((p == 0).sum()))
+        p = tail[p]
+    return kernels, images
+
+
+def _assert_chains_match(rep, want: tuple[list[Subgroup], list[Subgroup]]) -> None:
+    for got, chain in zip((rep.kernel_chain, rep.image_chain), want):
+        assert len(got) == len(chain) == rep.depth + 2
+        for a, b in zip(got, chain):
+            assert a == b and a.size == b.size and np.array_equal(a.members, b.members)
+
+
+def test_lazy_chains_match_eager_construction():
+    cases = [(e.group, [f.map for f in e.endos]) for e in builtin_entries(500)]
+    for p, k in ((2, 6), (7, 2)):  # orders 2048 and 2058
+        sd, phi = paper_example_level(p, k)
+        conj = conjugation_hom(sd.group, int(sd.acting_part.members[1]))
+        cases.append((sd.group, [phi.map, phi.map[conj.map]]))
+    rng = np.random.default_rng(14)
+    for G, maps in cases:
+        trivial = np.zeros(G.order, dtype=bool)
+        trivial[0] = True
+        for f in maps:
+            hom = GroupHom(G, G, f, validate=False)
+            _assert_chains_match(contraction(hom), _eager_chains(G, f, trivial))
+            S = EndoSemigroup(G, [hom])
+            _assert_chains_match(semigroup_contraction(S), _eager_chains(G, f, trivial))
+            K = random_subgroup(G, rng)
+            _assert_chains_match(semigroup_contraction(S, K), _eager_chains(G, f, K.bools))
+
+
 @settings(max_examples=60, deadline=None)
 @given(entry=entry_st, seed=st.integers(0, 2**32 - 1))
 def test_shrinkind_random(entry, seed):
@@ -405,6 +458,26 @@ def test_is_normal_matches_conjugation_by_every_element():
         for S in catalog.entries:
             conj = G.table[G.table[:, S.members], G.inv[:, None]]
             assert is_normal(G, S) == bool(S.bools[conj].all()), (G, S)
+
+
+def test_product_covers_matches_all_pairs_set_product():
+    outcomes = set()
+    for entry in builtin_entries(60):
+        G = entry.group
+        catalog = all_subgroups(G)
+        assert catalog.complete
+        tbl = G.table.tolist()
+        members = [S.members.tolist() for S in catalog.entries]
+        for (S1, m1), (S2, m2) in itertools.product(zip(catalog.entries, members), repeat=2):
+            want = len({tbl[a][b] for a in m1 for b in m2}) == G.order
+            assert product_covers(G, S1, S2) == want, (G, S1, S2)
+            outcomes.add((want, S1 == S2, S1.is_trivial or S1.is_whole))
+        T, W = trivial_subgroup(G), whole_subgroup(G)
+        assert product_covers(G, T, W) and product_covers(G, W, T) and product_covers(G, W, W)
+        assert product_covers(G, T, T) == (G.order == 1)
+    # covering and non-covering pairs, with S1 = S2 and trivial or whole factors
+    # among them; S*S = S covers only when S is whole
+    assert outcomes == set(itertools.product((False, True), repeat=3)) - {(True, True, False)}
 
 
 def test_quotient_matches_least_element_oracle():
