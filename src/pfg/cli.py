@@ -79,6 +79,8 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "run":
         if args.order_guard is not None and args.order_guard > MAX_ORDER:
             p_run.error(f"argument --order-guard: at most {MAX_ORDER}, the largest order an int16 table holds; got {args.order_guard}")
+        if args.order_guard is not None and args.order_guard < 1:
+            p_run.error(f"argument --order-guard: at least 1; got {args.order_guard}")
         try:
             source = Path(args.file).read_text(encoding="utf-8")
         except OSError as exc:

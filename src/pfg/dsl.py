@@ -10,26 +10,34 @@ Grammar (one statement per line, ``#`` starts a comment, files use ``.pfg``):
     set KEY = VALUE                     # KEY: order_guard, jobs, seed
 
     gexpr  := cyclic(INT) | units_mod(INT, INT) | product(NAME, NAME)
-            | semidirect(gexpr, gexpr, action) | table("PATH")
+            | semidirect(gexpr, gexpr, action) | table(PATH)
     action := invert | mult_action | trivial
-            | act { helem -> { nelem -> nelem, ... }, ... }
+            | act { elem -> { elem -> elem, ... }, ... }
     hexpr  := identity | trivial | scale_first(INT) | project_away(INT)
             | map { elem -> elem, ... }
     elem   := INT | ( elem, elem )          # pair encoding, left-major
     args   := NAME | INT | {INT|NAME, ...} | [elem, ...]
+    INT    := [0-9]+ | -[0-9]+
+    PATH   := "..."                         # a table file, relative to the scenario
+
+Commas separate the entries of every ``{...}``, ``[...]`` and ``(...)``;
+there is none after the last entry.
 
 Analyses (argument kinds in ``report.ANALYSES``): contraction, theorem_a,
 splitthm, theorem_b, regulation, tfrelstab2, shrinkind, o_pi, fewprimes,
 hom_search, typef.
 
-Builders: zp, zpn, units_semidirect, product, s3_times_z2.
+Builders (parameter counts in ``tower.BUILDERS``): zp, zpn, units_semidirect,
+product, s3_times_z2.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import re
+from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -55,10 +63,30 @@ from .core import (
 from .endo import EndoSemigroup
 from .lattice import prime_factors
 from .report import ANALYSES
-from .tower import build_tower
+from .tower import BUILDERS, build_tower
 
-BUILDERS = {"zp", "zpn", "units_semidirect", "product", "s3_times_z2"}
 OPTION_KEYS = {"order_guard", "jobs", "seed"}
+
+# The argument kinds of every constructor, by the grammar symbol it stands
+# for; None marks a bare word.  ``act {...}`` and ``map {...}`` are the
+# generator-image forms of actions and endomorphisms.
+CONSTRUCTORS = {
+    "gexpr": {
+        "cyclic": ("INT",),
+        "units_mod": ("INT", "INT"),
+        "product": ("NAME", "NAME"),
+        "semidirect": ("gexpr", "gexpr", "action"),
+        "table": ("PATH",),
+    },
+    "action": {"invert": None, "mult_action": None, "trivial": None},
+    "hexpr": {"identity": None, "trivial": None, "scale_first": ("INT",), "project_away": ("INT",)},
+}
+# per grammar symbol: the diagnostic for a missing expression, and the name of an unknown head
+_MISSING = {
+    "gexpr": ("expected a group expression, found {found}", "group constructor"),
+    "action": ("expected an action", "action"),
+    "hexpr": ("expected an endomorphism expression", "endomorphism constructor"),
+}
 
 
 @dataclass(frozen=True)
@@ -85,11 +113,20 @@ class ScenarioError(GroupError):
 
 # ---------------------------------------------------------------- tokenizer
 
-_SYMBOLS = ("->", "(", ")", "{", "}", "[", "]", ",", "=")
+_TOKEN = re.compile(
+    r"""(?P<blank>[ \t\r]*)(?:
+      (?P<sym>->|[(){}\[\],=])
+    | (?P<int>-?[0-9]+)
+    | "(?P<string>[^"]*)"
+    | (?P<unterminated>".*)
+    | (?P<name>[^\W\d]\w*)
+    | (?P<char>[^ \t\r\#])
+    )""",
+    re.VERBOSE,
+)
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # name | int | string | sym | newline | eof
     text: str
     line: int
@@ -101,49 +138,18 @@ def _tokenize(source: str) -> tuple[list[_Token], list[ParseDiagnostic]]:
     diags: list[ParseDiagnostic] = []
     lines = source.split("\n")
     for li, raw in enumerate(lines, start=1):
-        i = 0
-        text = raw
-        while i < len(text):
-            c = text[i]
-            if c == "#":
-                break
-            if c in " \t\r":
-                i += 1
-                continue
-            col = i + 1
-            if text.startswith("->", i):
-                tokens.append(_Token("sym", "->", li, col))
-                i += 2
-                continue
-            if c in "(){}[],=":
-                tokens.append(_Token("sym", c, li, col))
-                i += 1
-                continue
-            if c == '"':
-                j = text.find('"', i + 1)
-                if j < 0:
-                    diags.append(ParseDiagnostic("error", "unterminated string", li, col, raw))
-                    i = len(text)
-                    continue
-                tokens.append(_Token("string", text[i + 1 : j], li, col))
-                i = j + 1
-                continue
-            if c.isdigit() or (c == "-" and i + 1 < len(text) and text[i + 1].isdigit()):
-                j = i + 1
-                while j < len(text) and text[j].isdigit():
-                    j += 1
-                tokens.append(_Token("int", text[i:j], li, col))
-                i = j
-                continue
-            if c.isalpha() or c == "_":
-                j = i + 1
-                while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                    j += 1
-                tokens.append(_Token("name", text[i:j], li, col))
-                i = j
-                continue
-            diags.append(ParseDiagnostic("error", f"unexpected character {c!r}", li, col, raw))
-            i += 1
+        pos = 0
+        while m := _TOKEN.match(raw, pos):  # none at a comment or the line's end
+            kind, col, pos = m.lastgroup, m.end("blank") + 1, m.end()
+            first = raw[col - 1]
+            if kind == "name" and not (first.isalpha() or first == "_"):
+                kind, pos = "char", col  # a numeral such as '²' or '½' starts no name
+            if kind == "char":
+                diags.append(ParseDiagnostic("error", f"unexpected character {first!r}", li, col, raw))
+            elif kind == "unterminated":
+                diags.append(ParseDiagnostic("error", "unterminated string", li, col, raw))
+            else:
+                tokens.append(_Token(kind, m[kind], li, col))
         tokens.append(_Token("newline", "", li, len(raw) + 1))
     tokens.append(_Token("eof", "", len(lines) + 1, 1))
     return tokens, diags
@@ -155,48 +161,17 @@ ElemExpr = object  # int or tuple of ElemExpr
 
 
 @dataclass(frozen=True)
-class GCyclic:
-    n: int
+class Call:
+    """A constructor of ``CONSTRUCTORS`` applied to its arguments: ints,
+    names, a path or nested expressions."""
 
-
-@dataclass(frozen=True)
-class GUnits:
-    p: int
-    k: int
-
-
-@dataclass(frozen=True)
-class GProduct:
-    left: str
-    right: str
-
-
-@dataclass(frozen=True)
-class GTable:
-    path: str
-
-
-@dataclass(frozen=True)
-class ActionName:
-    name: str
+    head: str
+    args: tuple = ()
 
 
 @dataclass(frozen=True)
 class ActionMap:
     entries: tuple[tuple[ElemExpr, tuple[tuple[ElemExpr, ElemExpr], ...]], ...]
-
-
-@dataclass(frozen=True)
-class GSemidirect:
-    normal: object
-    acting: object
-    action: object
-
-
-@dataclass(frozen=True)
-class HBuiltin:
-    name: str
-    args: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -206,8 +181,8 @@ class HMap:
 
 @dataclass(frozen=True)
 class Stmt:
-    line: int
-    column: int
+    line: int = field(compare=False)
+    column: int = field(compare=False)
 
 
 @dataclass(frozen=True)
@@ -295,6 +270,10 @@ class ParseResult:
 
 # ------------------------------------------------------------------- parser
 
+def _found(t: _Token) -> str:
+    return repr(t.text or t.kind)
+
+
 class _Parser:
     def __init__(self, tokens: list[_Token], lines: list[str]):
         self.toks = tokens
@@ -305,6 +284,10 @@ class _Parser:
 
     def peek(self) -> _Token:
         return self.toks[self.pos]
+
+    def at(self, sym: str) -> bool:
+        t = self.toks[self.pos]
+        return t.kind == "sym" and t.text == sym
 
     def next(self) -> _Token:
         t = self.toks[self.pos]
@@ -325,36 +308,55 @@ class _Parser:
 
     def expect_sym(self, sym: str, opened: _Token | None = None) -> _Token:
         t = self.peek()
-        if t.kind == "sym" and t.text == sym:
+        if self.at(sym):
             self.next()
             if sym in "([{":
                 self.open_stack.append(t)
-            elif sym in ")]}" and self.open_stack:
+            elif sym in ")]}":
                 self.open_stack.pop()
             return t
         if t.kind in ("newline", "eof"):
             if opened is not None:
                 self.error(f"unclosed {opened.text!r}", opened)
             self.error(f"expected {sym!r}")
-        self.error(f"expected {sym!r}, found {t.text or t.kind!r}")
+        self.error(f"expected {sym!r}, found {_found(t)}")
 
     def expect_int(self) -> int:
         t = self.peek()
         if t.kind == "int":
             self.next()
             return int(t.text)
-        self.error(f"expected an integer, found {t.text or t.kind!r}")
+        self.error(f"expected an integer, found {_found(t)}")
 
     def expect_name(self, what: str = "a name") -> str:
         t = self.peek()
         if t.kind == "name":
             self.next()
             return t.text
-        self.error(f"expected {what}, found {t.text or t.kind!r}")
+        self.error(f"expected {what}, found {_found(t)}")
 
-    def skip_newlines(self) -> None:
-        while self.peek().kind == "newline":
-            self.next()
+    def expect_word(self, word: str) -> None:
+        if self.expect_name(f"'{word}'") != word:
+            self.error(f"expected '{word}'")
+
+    def int_or_name(self, message: str) -> int | str:
+        t = self.peek()
+        if t.kind not in ("int", "name"):
+            self.error(message)
+        self.next()
+        return int(t.text) if t.kind == "int" else t.text
+
+    def items(self, parse_one, close: str, opened: _Token, empty: bool = False) -> tuple:
+        """What parse_one reads, once or more (or none when ``empty``), with
+        a comma between two entries, up to the bracket ``close`` of ``opened``."""
+        out = []
+        if not (empty and self.at(close)):
+            out.append(parse_one())
+            while self.at(","):
+                self.next()
+                out.append(parse_one())
+        self.expect_sym(close, opened)
+        return tuple(out)
 
     # statements ------------------------------------------------------
 
@@ -363,12 +365,17 @@ class _Parser:
         analyses: list[Analyze] = []
         options: dict = {}
         while True:
-            self.skip_newlines()
+            while self.peek().kind == "newline":
+                self.next()
             t = self.peek()
             if t.kind == "eof":
                 break
             try:
-                stmt = self.parse_stmt()
+                if t.kind != "name":
+                    self.error(f"expected a statement keyword, found {_found(t)}")
+                if t.text not in ("group", "endo", "semigroup", "tower", "analyze", "set"):
+                    self.error(f"unknown keyword {t.text!r}")
+                stmt = getattr(self, "parse_" + t.text)()
                 if isinstance(stmt, Analyze):
                     analyses.append(stmt)
                 elif isinstance(stmt, Option):
@@ -386,257 +393,50 @@ class _Parser:
             return None
         return ScenarioSpec(tuple(defs), tuple(analyses), options)
 
-    def parse_stmt(self) -> Stmt:
-        t = self.peek()
-        if t.kind != "name":
-            self.error(f"expected a statement keyword, found {t.text or t.kind!r}")
-        if t.text == "group":
-            return self.parse_groupdef()
-        if t.text == "endo":
-            return self.parse_endodef()
-        if t.text == "semigroup":
-            return self.parse_semigroupdef()
-        if t.text == "tower":
-            return self.parse_towerdef()
-        if t.text == "analyze":
-            return self.parse_analyze()
-        if t.text == "set":
-            return self.parse_option()
-        self.error(f"unknown keyword {t.text!r}")
-
-    def parse_groupdef(self) -> GroupDef:
+    def parse_group(self) -> GroupDef:
         kw = self.next()
         name = self.expect_name("a group name")
         self.expect_sym("=")
-        expr = self.parse_gexpr()
-        return GroupDef(kw.line, kw.column, name, expr)
+        return GroupDef(kw.line, kw.column, name, self.parse_call("gexpr"))
 
-    def parse_gexpr(self):
-        t = self.peek()
-        if t.kind != "name":
-            self.error(f"expected a group expression, found {t.text or t.kind!r}")
-        head = self.next()
-        if head.text == "cyclic":
-            op = self.expect_sym("(")
-            n = self.expect_int()
-            self.expect_sym(")", op)
-            return GCyclic(n)
-        if head.text == "units_mod":
-            op = self.expect_sym("(")
-            p = self.expect_int()
-            self.expect_sym(",", op)
-            k = self.expect_int()
-            self.expect_sym(")", op)
-            return GUnits(p, k)
-        if head.text == "product":
-            op = self.expect_sym("(")
-            a = self.expect_name("a group name")
-            self.expect_sym(",", op)
-            b = self.expect_name("a group name")
-            self.expect_sym(")", op)
-            return GProduct(a, b)
-        if head.text == "table":
-            op = self.expect_sym("(")
-            t = self.peek()
-            if t.kind != "string":
-                self.error("expected a quoted path")
-            self.next()
-            self.expect_sym(")", op)
-            return GTable(t.text)
-        if head.text == "semidirect":
-            op = self.expect_sym("(")
-            n = self.parse_gexpr()
-            self.expect_sym(",", op)
-            h = self.parse_gexpr()
-            self.expect_sym(",", op)
-            action = self.parse_action()
-            self.expect_sym(")", op)
-            return GSemidirect(n, h, action)
-        self.error(f"unknown group constructor {head.text!r}", head)
-
-    def parse_action(self):
-        t = self.peek()
-        if t.kind != "name":
-            self.error("expected an action")
-        if t.text in ("invert", "mult_action", "trivial"):
-            self.next()
-            return ActionName(t.text)
-        if t.text == "act":
-            self.next()
-            ob = self.expect_sym("{")
-            entries = []
-            while True:
-                h = self.parse_elem()
-                self.expect_sym("->")
-                ib = self.expect_sym("{")
-                pairs = []
-                while True:
-                    a = self.parse_elem()
-                    self.expect_sym("->")
-                    b = self.parse_elem()
-                    pairs.append((a, b))
-                    if self.peek().text == ",":
-                        self.next()
-                        continue
-                    break
-                self.expect_sym("}", ib)
-                entries.append((h, tuple(pairs)))
-                if self.peek().text == ",":
-                    self.next()
-                    continue
-                break
-            self.expect_sym("}", ob)
-            return ActionMap(tuple(entries))
-        self.error(f"unknown action {t.text!r}")
-
-    def parse_elem(self):
-        t = self.peek()
-        if t.kind == "int":
-            self.next()
-            return int(t.text)
-        if t.kind == "sym" and t.text == "(":
-            op = self.next()
-            a = self.parse_elem()
-            self.expect_sym(",", op)
-            b = self.parse_elem()
-            self.expect_sym(")", op)
-            return (a, b)
-        self.error("expected an element (integer or pair)")
-
-    def parse_endodef(self) -> EndoDef:
+    def parse_endo(self) -> EndoDef:
         kw = self.next()
         name = self.expect_name("an endomorphism name")
-        on = self.expect_name("'on'")
-        if on != "on":
-            self.error("expected 'on'")
+        self.expect_word("on")
         group = self.expect_name("a group name")
         self.expect_sym("=")
-        expr = self.parse_hexpr()
-        return EndoDef(kw.line, kw.column, name, group, expr)
+        return EndoDef(kw.line, kw.column, name, group, self.parse_call("hexpr"))
 
-    def parse_hexpr(self):
-        t = self.peek()
-        if t.kind != "name":
-            self.error("expected an endomorphism expression")
-        head = self.next()
-        if head.text in ("identity", "trivial"):
-            return HBuiltin(head.text, ())
-        if head.text in ("scale_first", "project_away"):
-            op = self.expect_sym("(")
-            n = self.expect_int()
-            self.expect_sym(")", op)
-            return HBuiltin(head.text, (n,))
-        if head.text == "map":
-            ob = self.expect_sym("{")
-            entries = []
-            while True:
-                a = self.parse_elem()
-                self.expect_sym("->")
-                b = self.parse_elem()
-                entries.append((a, b))
-                if self.peek().text == ",":
-                    self.next()
-                    continue
-                break
-            self.expect_sym("}", ob)
-            return HMap(tuple(entries))
-        self.error(f"unknown endomorphism constructor {head.text!r}", head)
-
-    def parse_semigroupdef(self) -> SemigroupDef:
+    def parse_semigroup(self) -> SemigroupDef:
         kw = self.next()
         name = self.expect_name("a semigroup name")
-        if self.expect_name("'on'") != "on":
-            self.error("expected 'on'")
+        self.expect_word("on")
         group = self.expect_name("a group name")
         self.expect_sym("=")
-        ob = self.expect_sym("{")
-        members = [self.expect_name("an endomorphism name")]
-        while self.peek().text == ",":
-            self.next()
-            members.append(self.expect_name("an endomorphism name"))
-        self.expect_sym("}", ob)
-        return SemigroupDef(kw.line, kw.column, name, group, tuple(members))
+        members = self.items(lambda: self.expect_name("an endomorphism name"), "}", self.expect_sym("{"))
+        return SemigroupDef(kw.line, kw.column, name, group, members)
 
-    def parse_towerdef(self) -> TowerDef:
+    def parse_tower(self) -> TowerDef:
         kw = self.next()
         name = self.expect_name("a tower name")
         self.expect_sym("=")
         builder = self.expect_name("a builder name")
         if builder not in BUILDERS:
             self.error(f"unknown tower builder {builder!r}")
-        op = self.expect_sym("(")
-        params: list = []
-        if self.peek().text != ")":
-            while True:
-                t = self.peek()
-                if t.kind == "int":
-                    params.append(int(self.next().text))
-                elif t.kind == "name":
-                    params.append(self.next().text)
-                else:
-                    self.error("expected a builder parameter")
-                if self.peek().text == ",":
-                    self.next()
-                    continue
-                break
-        self.expect_sym(")", op)
-        if self.expect_name("'depth'") != "depth":
-            self.error("expected 'depth'")
-        depth = self.expect_int()
-        return TowerDef(kw.line, kw.column, name, builder, tuple(params), depth)
+        param = "expected a builder parameter"
+        params = self.items(lambda: self.int_or_name(param), ")", self.expect_sym("("), empty=True)
+        self.expect_word("depth")
+        return TowerDef(kw.line, kw.column, name, builder, params, self.expect_int())
 
     def parse_analyze(self) -> Analyze:
         kw = self.next()
         kind = self.expect_name("an analysis name")
         if kind not in ANALYSES:
             self.error(f"unknown analysis {kind!r}")
-        op = self.expect_sym("(")
-        args: list = []
-        if self.peek().text != ")":
-            while True:
-                args.append(self.parse_arg())
-                if self.peek().text == ",":
-                    self.next()
-                    continue
-                break
-        self.expect_sym(")", op)
-        return Analyze(kw.line, kw.column, kind, tuple(args))
+        args = self.items(self.parse_arg, ")", self.expect_sym("("), empty=True)
+        return Analyze(kw.line, kw.column, kind, args)
 
-    def parse_arg(self):
-        t = self.peek()
-        if t.kind == "name":
-            self.next()
-            return ARef(t.text)
-        if t.kind == "int":
-            self.next()
-            return AInt(int(t.text))
-        if t.kind == "sym" and t.text == "{":
-            ob = self.next()
-            items: list = []
-            while self.peek().text != "}":
-                it = self.peek()
-                if it.kind == "int":
-                    items.append(int(self.next().text))
-                elif it.kind == "name":
-                    items.append(self.next().text)
-                else:
-                    self.error("expected an integer or name inside { }")
-                if self.peek().text == ",":
-                    self.next()
-            self.expect_sym("}", ob)
-            return ASet(tuple(items))
-        if t.kind == "sym" and t.text == "[":
-            ob = self.next()
-            elems: list = []
-            while self.peek().text != "]":
-                elems.append(self.parse_elem())
-                if self.peek().text == ",":
-                    self.next()
-            self.expect_sym("]", ob)
-            return AList(tuple(elems))
-        self.error(f"expected an argument, found {t.text or t.kind!r}")
-
-    def parse_option(self) -> Option:
+    def parse_set(self) -> Option:
         kw = self.next()
         at = self.peek()
         key = self.expect_name("an option key")
@@ -647,7 +447,85 @@ class _Parser:
         value = self.expect_int()
         if key == "order_guard" and value > MAX_ORDER:
             self.error(f"order_guard must be at most {MAX_ORDER}, the largest order an int16 table holds; got {value}", at)
+        if key == "order_guard" and value < 1:
+            self.error(f"order_guard must be at least 1; got {value}", at)
         return Option(kw.line, kw.column, key, value)
+
+    # expressions -----------------------------------------------------
+
+    def parse_call(self, symbol: str):
+        """One ``gexpr``, ``action`` or ``hexpr``: a constructor of
+        ``CONSTRUCTORS[symbol]`` with its arguments, or a generator-image form."""
+        missing, unknown = _MISSING[symbol]
+        t = self.peek()
+        if t.kind != "name":
+            self.error(missing.format(found=_found(t)))
+        head = self.next()
+        if symbol == "action" and head.text == "act":
+            return ActionMap(self.images(lambda: self.images(self.parse_elem)))
+        if symbol == "hexpr" and head.text == "map":
+            return HMap(self.images(self.parse_elem))
+        if head.text not in CONSTRUCTORS[symbol]:
+            self.error(f"unknown {unknown} {head.text!r}", head)
+        kinds = CONSTRUCTORS[symbol][head.text]
+        if kinds is None:
+            return Call(head.text)
+        op = self.expect_sym("(")
+        args = []
+        for i, kind in enumerate(kinds):
+            if i:
+                self.expect_sym(",", op)
+            if kind == "INT":
+                args.append(self.expect_int())
+            elif kind == "NAME":
+                args.append(self.expect_name("a group name"))
+            elif kind == "PATH":
+                if self.peek().kind != "string":
+                    self.error("expected a quoted path")
+                args.append(self.next().text)
+            else:
+                args.append(self.parse_call(kind))
+        self.expect_sym(")", op)
+        return Call(head.text, tuple(args))
+
+    def images(self, parse_image) -> tuple:
+        """``{elem -> image, ...}`` with at least one entry."""
+
+        def entry():
+            x = self.parse_elem()
+            self.expect_sym("->")
+            return x, parse_image()
+
+        return self.items(entry, "}", self.expect_sym("{"))
+
+    def parse_elem(self):
+        t = self.peek()
+        if t.kind == "int":
+            self.next()
+            return int(t.text)
+        if self.at("("):
+            op = self.expect_sym("(")
+            a = self.parse_elem()
+            self.expect_sym(",", op)
+            b = self.parse_elem()
+            self.expect_sym(")", op)
+            return (a, b)
+        self.error("expected an element (integer or pair)")
+
+    def parse_arg(self):
+        t = self.peek()
+        if t.kind == "name":
+            self.next()
+            return ARef(t.text)
+        if t.kind == "int":
+            self.next()
+            return AInt(int(t.text))
+        if self.at("{"):
+            item = "expected an integer or name inside { }"
+            return ASet(self.items(lambda: self.int_or_name(item), "}", self.expect_sym("{"), empty=True))
+        if self.at("["):
+            return AList(self.items(self.parse_elem, "]", self.expect_sym("["), empty=True))
+        self.error(f"expected an argument, found {_found(t)}")
 
 
 class _Bail(Exception):
@@ -660,10 +538,7 @@ def parse(source: str) -> ParseResult:
     tokens, lex_diags = _tokenize(source)
     parser = _Parser(tokens, source.split("\n"))
     parser.diags.extend(lex_diags)
-    spec = parser.parse_scenario()
-    if lex_diags:
-        spec = None
-    return ParseResult(spec, parser.diags)
+    return ParseResult(parser.parse_scenario(), parser.diags)
 
 
 # ------------------------------------------------------------------ unparse
@@ -674,35 +549,25 @@ def _fmt_elem(e) -> str:
     return str(e)
 
 
-def _fmt_gexpr(e) -> str:
-    if isinstance(e, GCyclic):
-        return f"cyclic({e.n})"
-    if isinstance(e, GUnits):
-        return f"units_mod({e.p}, {e.k})"
-    if isinstance(e, GProduct):
-        return f"product({e.left}, {e.right})"
-    if isinstance(e, GTable):
-        return f'table("{e.path}")'
-    if isinstance(e, GSemidirect):
-        return f"semidirect({_fmt_gexpr(e.normal)}, {_fmt_gexpr(e.acting)}, {_fmt_action(e.action)})"
-    raise TypeError(f"not a group expression: {e!r}")
+def _fmt_images(entries, fmt_image) -> str:
+    return "{" + ", ".join(f"{_fmt_elem(x)} -> {fmt_image(y)}" for x, y in entries) + "}"
 
 
-def _fmt_action(a) -> str:
-    if isinstance(a, ActionName):
-        return a.name
-    inner = ", ".join(
-        f"{_fmt_elem(h)} -> {{{', '.join(f'{_fmt_elem(x)} -> {_fmt_elem(y)}' for x, y in pairs)}}}"
-        for h, pairs in a.entries
-    )
-    return f"act {{{inner}}}"
-
-
-def _fmt_hexpr(e) -> str:
-    if isinstance(e, HBuiltin):
-        return e.name if not e.args else f"{e.name}({', '.join(map(str, e.args))})"
-    inner = ", ".join(f"{_fmt_elem(a)} -> {_fmt_elem(b)}" for a, b in e.entries)
-    return f"map {{{inner}}}"
+def _fmt_expr(e, kind: str = "") -> str:
+    """A ``gexpr``, ``action`` or ``hexpr``, or an argument of the given kind
+    in one, as scenario text."""
+    if kind == "PATH":
+        return f'"{e}"'
+    if isinstance(e, (int, str)):
+        return str(e)
+    if isinstance(e, ActionMap):
+        return "act " + _fmt_images(e.entries, lambda pairs: _fmt_images(pairs, _fmt_elem))
+    if isinstance(e, HMap):
+        return "map " + _fmt_images(e.entries, _fmt_elem)
+    if not e.args:
+        return e.head
+    kinds = next(table[e.head] for table in CONSTRUCTORS.values() if e.head in table)
+    return f"{e.head}({', '.join(map(_fmt_expr, e.args, kinds))})"
 
 
 def _fmt_arg(a) -> str:
@@ -712,9 +577,7 @@ def _fmt_arg(a) -> str:
         return str(a.value)
     if isinstance(a, ASet):
         return "{" + ", ".join(map(str, a.items)) + "}"
-    if isinstance(a, AList):
-        return "[" + ", ".join(_fmt_elem(e) for e in a.elems) + "]"
-    raise TypeError(f"not an argument: {a!r}")
+    return "[" + ", ".join(_fmt_elem(e) for e in a.elems) + "]"
 
 
 def unparse(spec: ScenarioSpec) -> str:
@@ -724,9 +587,9 @@ def unparse(spec: ScenarioSpec) -> str:
         out.append(f"set {key} = {value}")
     for stmt in spec.statements:
         if isinstance(stmt, GroupDef):
-            out.append(f"group {stmt.name} = {_fmt_gexpr(stmt.expr)}")
+            out.append(f"group {stmt.name} = {_fmt_expr(stmt.expr)}")
         elif isinstance(stmt, EndoDef):
-            out.append(f"endo {stmt.name} on {stmt.group} = {_fmt_hexpr(stmt.expr)}")
+            out.append(f"endo {stmt.name} on {stmt.group} = {_fmt_expr(stmt.expr)}")
         elif isinstance(stmt, SemigroupDef):
             out.append(f"semigroup {stmt.name} on {stmt.group} = {{{', '.join(stmt.members)}}}")
         elif isinstance(stmt, TowerDef):
@@ -739,24 +602,7 @@ def unparse(spec: ScenarioSpec) -> str:
 
 def specs_equivalent(a: ScenarioSpec, b: ScenarioSpec) -> bool:
     """Structural equality ignoring source locations."""
-
-    def strip(stmt):
-        if isinstance(stmt, GroupDef):
-            return ("group", stmt.name, stmt.expr)
-        if isinstance(stmt, EndoDef):
-            return ("endo", stmt.name, stmt.group, stmt.expr)
-        if isinstance(stmt, SemigroupDef):
-            return ("semigroup", stmt.name, stmt.group, stmt.members)
-        if isinstance(stmt, TowerDef):
-            return ("tower", stmt.name, stmt.builder, stmt.params, stmt.depth)
-        if isinstance(stmt, Analyze):
-            return ("analyze", stmt.kind, stmt.args)
-        raise TypeError(stmt)
-
-    return (
-        [strip(s) for s in a.statements] == [strip(s) for s in b.statements]
-        and a.options == b.options
-    )
+    return a.statements == b.statements and a.options == b.options
 
 
 # ----------------------------------------------------------------- validate
@@ -787,10 +633,10 @@ class _GroupShape:
     def index_of(self, expr, where: Stmt) -> int:
         if isinstance(expr, int):
             if not 0 <= expr < self.order:
-                raise ScenarioError("NameUnresolved", f"element {expr} out of range 0..{self.order - 1}", where.line, where.column)
+                raise ScenarioError("ParamOutOfRange", f"element {expr} out of range 0..{self.order - 1}", where.line, where.column)
             return expr
         if self.left is None:
-            raise ScenarioError("NameUnresolved", "pair syntax used on a non-product group", where.line, where.column)
+            raise ScenarioError("ParamOutOfRange", "pair syntax used on a non-product group", where.line, where.column)
         a = self.left.index_of(expr[0], where)
         b = self.right.index_of(expr[1], where)
         return a * self.right.order + b
@@ -800,54 +646,31 @@ def _group_of(obj) -> FiniteGroup:
     return obj.group if isinstance(obj, SemidirectProduct) else obj
 
 
-def _build_gexpr(expr, lookup, base_dir: Path, guard: int | None, stmt: Stmt):
+def _build_gexpr(expr: Call, lookup, base_dir: Path, guard: int | None, stmt: Stmt):
     """Returns (FiniteGroup or SemidirectProduct, shape)."""
-    if isinstance(expr, GCyclic):
-        g = construct.cyclic(expr.n, order_guard=guard)
-        return g, _GroupShape(g.order)
-    if isinstance(expr, GUnits):
-        g = construct.units_mod(expr.p, expr.k, order_guard=guard)
-        return g, _GroupShape(g.order)
-    if isinstance(expr, GTable):
-        table = construct.load_table_file(base_dir / expr.path)
-        g = build_from_table(table, expr.path, order_guard=guard)
-        return g, _GroupShape(g.order)
-    if isinstance(expr, GProduct):
-        a, sa = lookup(expr.left, stmt, "group")
-        b, sb = lookup(expr.right, stmt, "group")
+    head, args = expr.head, expr.args
+    if head == "cyclic":
+        g = construct.cyclic(*args, order_guard=guard)
+    elif head == "units_mod":
+        g = construct.units_mod(*args, order_guard=guard)
+    elif head == "table":
+        g = build_from_table(construct.load_table_file(base_dir / args[0]), args[0], order_guard=guard)
+    elif head == "product":
+        a, sa = lookup(args[0], stmt, "group")
+        b, sb = lookup(args[1], stmt, "group")
         g = construct.direct_product(_group_of(a), _group_of(b), order_guard=guard)
         return g, _GroupShape(g.order, sa, sb)
-    if isinstance(expr, GSemidirect):
-        n_obj, ns = _build_gexpr(expr.normal, lookup, base_dir, guard, stmt)
-        h_obj, hs = _build_gexpr(expr.acting, lookup, base_dir, guard, stmt)
+    else:  # semidirect
+        n_obj, ns = _build_gexpr(args[0], lookup, base_dir, guard, stmt)
+        h_obj, hs = _build_gexpr(args[1], lookup, base_dir, guard, stmt)
         n_grp, h_grp = _group_of(n_obj), _group_of(h_obj)
-        action = _build_action(expr.action, n_grp, h_grp, ns, hs, stmt)
+        action = _build_action(args[2], n_grp, h_grp, ns, hs, stmt)
         sd = construct.semidirect(n_grp, h_grp, action, order_guard=guard)
         return sd, _GroupShape(sd.group.order, ns, hs)
-    raise ScenarioError("NameUnresolved", f"bad group expression {expr!r}", stmt.line, stmt.column)
+    return g, _GroupShape(g.order)
 
 
 def _build_action(action, N: FiniteGroup, H: FiniteGroup, ns: _GroupShape, hs: _GroupShape, stmt: Stmt):
-    if isinstance(action, ActionName):
-        if action.name == "trivial":
-            return trivial_action(N, H)
-        if action.name == "invert":
-            return inversion_action(N, H)
-        if action.name == "mult_action":
-            # H must be the unit group of N's modulus
-            primes = prime_factors(N.order)
-            if len(primes) != 1:
-                raise ScenarioError("OrderGuard", "mult_action needs a prime-power cyclic normal part", stmt.line, stmt.column)
-            (p,) = primes
-            res = units_residues(p, round(math.log(N.order, p)))
-            if len(res) != H.order:
-                raise ScenarioError(
-                    "OrderGuard",
-                    f"mult_action needs the acting part to be the unit group (order {len(res)}, got {H.order})",
-                    stmt.line,
-                    stmt.column,
-                )
-            return multiplication_action(N, H, res)
     if isinstance(action, ActionMap):
         # the H -> Aut(N) homomorphism from the images of acting generators
         act = np.zeros((H.order, N.order), dtype=np.int32)
@@ -865,7 +688,24 @@ def _build_action(action, N: FiniteGroup, H: FiniteGroup, ns: _GroupShape, hs: _
         if members.size != H.order:
             raise ScenarioError("NotAHomomorphism", "action images do not cover the acting group", stmt.line, stmt.column)
         return act
-    raise ScenarioError("NameUnresolved", f"bad action {action!r}", stmt.line, stmt.column)
+    if action.head == "trivial":
+        return trivial_action(N, H)
+    if action.head == "invert":
+        return inversion_action(N, H)
+    # mult_action: H must be the unit group of N's modulus
+    primes = prime_factors(N.order)
+    if len(primes) != 1:
+        raise ScenarioError("BadAction", "mult_action needs a prime-power cyclic normal part", stmt.line, stmt.column)
+    (p,) = primes
+    res = units_residues(p, round(math.log(N.order, p)))
+    if len(res) != H.order:
+        raise ScenarioError(
+            "BadAction",
+            f"mult_action needs the acting part to be the unit group (order {len(res)}, got {H.order})",
+            stmt.line,
+            stmt.column,
+        )
+    return multiplication_action(N, H, res)
 
 
 def _expand_hom(G: FiniteGroup, H: FiniteGroup, pairs: list[tuple[int, int]], stmt: Stmt) -> np.ndarray:
@@ -892,39 +732,31 @@ def _expand_hom(G: FiniteGroup, H: FiniteGroup, pairs: list[tuple[int, int]], st
 
 def _build_hexpr(expr, target, shape: _GroupShape, stmt: Stmt) -> GroupHom:
     G = _group_of(target)
-    if isinstance(expr, HBuiltin):
-        if expr.name == "identity":
-            return GroupHom(G, G, np.arange(G.order, dtype=np.int32), validate=False)
-        if expr.name == "trivial":
-            return GroupHom(G, G, np.zeros(G.order, dtype=np.int32), validate=False)
-        if expr.name == "scale_first":
-            (m,) = expr.args
-            if isinstance(target, SemidirectProduct):
-                arr = construct.scale_first_map(target, m)
-            elif shape.left is not None:
-                arr = construct.scale_first_map(G, m, right_order=shape.right.order)
-            else:
-                arr = construct.scale_first_map(G, m)
-            try:
-                return GroupHom(G, G, arr)
-            except NotAHomomorphism as exc:
-                raise ScenarioError("NotAHomomorphism", f"scale_first({m}) is not an endomorphism here: {exc}", stmt.line, stmt.column)
-        if expr.name == "project_away":
-            (coord,) = expr.args
-            if shape.left is None:
-                raise ScenarioError("NotAHomomorphism", "project_away needs a product-like group", stmt.line, stmt.column)
-            nb = shape.right.order
-            a, b = np.divmod(np.arange(G.order, dtype=np.int32), nb)
-            arr = b if coord == 0 else a * nb
-            try:
-                return GroupHom(G, G, arr)
-            except NotAHomomorphism as exc:
-                raise ScenarioError("NotAHomomorphism", f"project_away({coord}) is not an endomorphism here: {exc}", stmt.line, stmt.column)
-        raise ScenarioError("NameUnresolved", f"unknown builtin {expr.name!r}", stmt.line, stmt.column)
     if isinstance(expr, HMap):
         pairs = [(shape.index_of(a, stmt), shape.index_of(b, stmt)) for a, b in expr.entries]
         return GroupHom(G, G, _expand_hom(G, G, pairs, stmt), validate=False)
-    raise ScenarioError("NameUnresolved", f"bad endomorphism expression {expr!r}", stmt.line, stmt.column)
+    if expr.head == "identity":
+        return GroupHom(G, G, np.arange(G.order, dtype=np.int32), validate=False)
+    if expr.head == "trivial":
+        return GroupHom(G, G, np.zeros(G.order, dtype=np.int32), validate=False)
+    (m,) = expr.args
+    if expr.head == "scale_first":
+        if isinstance(target, SemidirectProduct):
+            arr = construct.scale_first_map(target, m)
+        elif shape.left is not None:
+            arr = construct.scale_first_map(G, m, right_order=shape.right.order)
+        else:
+            arr = construct.scale_first_map(G, m)
+    else:  # project_away
+        if shape.left is None:
+            raise ScenarioError("NotAHomomorphism", "project_away needs a product-like group", stmt.line, stmt.column)
+        nb = shape.right.order
+        a, b = np.divmod(np.arange(G.order, dtype=np.int32), nb)
+        arr = b if m == 0 else a * nb
+    try:
+        return GroupHom(G, G, arr)
+    except NotAHomomorphism as exc:
+        raise ScenarioError("NotAHomomorphism", f"{_fmt_expr(expr)} is not an endomorphism here: {exc}", stmt.line, stmt.column)
 
 
 def _kind_of(obj) -> str:

@@ -205,15 +205,18 @@ def build_s3_times_z2_tower(depth: int, *, order_guard: int | None = None) -> tu
     return tower, CoherentEndoFamily(tower, tuple(endos))
 
 
+# the parameter count of every tower builder
+BUILDERS = {"zp": 1, "zpn": 2, "units_semidirect": 1, "product": 2, "s3_times_z2": 0}
+
+
 def build_tower(kind: str, params: tuple, depth: int, *, order_guard: int | None = None):
     """Uniform builder front-end; ``product`` takes two (Tower, family) pairs."""
     if depth < 1:
         raise ParamOutOfRange("tower depth must be >= 1")
-    arity = {"zp": 1, "zpn": 2, "units_semidirect": 1, "s3_times_z2": 0, "product": 2}
-    if kind not in arity:
+    if kind not in BUILDERS:
         raise ParamOutOfRange(f"unknown tower builder {kind!r}")
-    if len(params) != arity[kind]:
-        raise ParamOutOfRange(f"{kind} takes {arity[kind]} parameters, got {len(params)}")
+    if len(params) != BUILDERS[kind]:
+        raise ParamOutOfRange(f"{kind} takes {BUILDERS[kind]} parameters, got {len(params)}")
     if kind == "zp":
         return build_zp_tower(int(params[0]), depth, order_guard=order_guard)
     if kind == "zpn":

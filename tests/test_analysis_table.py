@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 
 import pfg.dsl
 from pfg.cli import main
-from pfg.dsl import ScenarioError, _tokenize, parse, validate
+from pfg.dsl import CONSTRUCTORS, ScenarioError, _tokenize, parse, validate
 from pfg.report import ANALYSES, emit, run
+from pfg.tower import BUILDERS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 STATUSES = {"pass", "fail", "skipped", "hypotheses_not_met", "budget_exceeded"}
@@ -40,6 +41,44 @@ class TestDocumentation:
         block = _block_after(pfg.dsl.__doc__, "Analyses")
         names = set(re.findall(r"\w+", block.split(":", 1)[1]))
         assert names == set(ANALYSES)
+
+    def test_dsl_docstring_grammar_names_every_constructor(self):
+        grammar = {}  # grammar symbol -> its alternatives other than the generator-image form
+        for line in pfg.dsl.__doc__.splitlines():
+            m = re.match(r"\s+(\w+)\s+:= (.*)", line)
+            if m:
+                symbol, line = m[1], m[2]
+            elif not line.lstrip().startswith("|"):
+                continue
+            grammar.setdefault(symbol, set()).update(
+                alt.strip() for alt in line.split("|") if alt.strip() and "{" not in alt
+            )
+        for symbol, table in CONSTRUCTORS.items():
+            assert grammar[symbol] == {h if kinds is None else f"{h}({', '.join(kinds)})" for h, kinds in table.items()}
+        names = set(re.findall(r"\w+", _block_after(pfg.dsl.__doc__, "Builders").split(":", 1)[1]))
+        assert names == set(BUILDERS)
+
+    def test_readme_lists_every_constructor_and_builder(self):
+        block = _block_after(README.read_text(encoding="utf-8"), "Constructors")
+        listed = {}  # line label -> {head: argument count, None for a bare word}
+        for line in block.splitlines():
+            if not line.startswith("- "):
+                continue
+            label, forms = line[2:].split(": ", 1)
+            listed[label] = {
+                head: len([a for a in args[1:-1].split(",") if a.strip()]) if args else None
+                for head, args in re.findall(r"`(\w+)(\([^`()]*\))?`", forms)
+            }
+
+        def counts(table):
+            return {head: None if kinds is None else len(kinds) for head, kinds in table.items()}
+
+        assert listed == {
+            "Groups": counts(CONSTRUCTORS["gexpr"]),
+            "Actions": counts(CONSTRUCTORS["action"]),
+            "Endomorphisms": counts(CONSTRUCTORS["hexpr"]),
+            "Tower builders": BUILDERS,
+        }
 
 
 # Every argument kind of the table, with a wrong-group endo (h) among them.
@@ -121,7 +160,8 @@ def _source(tokens: list[str]) -> str:
     return "".join(t if t == "\n" else t + " " for t in tokens)
 
 
-SHIPPED_TOKENS = [_tokens(p.read_text(encoding="utf-8")) for p in SCENARIOS]
+SHIPPED_TEXTS = [p.read_text(encoding="utf-8") for p in SCENARIOS]
+SHIPPED_TOKENS = [_tokens(text) for text in SHIPPED_TEXTS]
 
 
 @st.composite
@@ -147,6 +187,17 @@ def mutated_scenarios(draw) -> str:
         if not tokens:
             break
     return _source(tokens)
+
+
+@st.composite
+def character_edits(draw) -> str:
+    """A shipped scenario with one to three characters inserted, among them
+    numerals and a letter from outside ASCII."""
+    text = draw(st.sampled_from(SHIPPED_TEXTS))
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(text)))
+        text = text[:i] + draw(st.sampled_from("²٣½α(){}[],=-\"#9 ")) + text[i:]
+    return text
 
 
 VOCABULARY = (
@@ -191,3 +242,9 @@ def test_mutated_shipped_scenario_runs_or_is_a_located_error(source):
 @given(tokens=st.lists(st.sampled_from(VOCABULARY), max_size=40))
 def test_random_token_stream_runs_or_is_a_located_error(tokens):
     _assert_runs_or_located(_source(tokens))
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(source=character_edits())
+def test_character_edit_runs_or_is_a_located_error(source):
+    _assert_runs_or_located(source)

@@ -6,6 +6,9 @@ import numpy as np
 import pytest
 
 from pfg.dsl import (
+    AList,
+    ARef,
+    ASet,
     ScenarioError,
     parse,
     specs_equivalent,
@@ -314,6 +317,94 @@ class TestOrderLimit:
         assert exc.value.code == 2
         assert "--order-guard: at most 32767" in capsys.readouterr().err
         assert main(["run", str(path), "--order-guard", "32767"]) == 0
+
+
+    @pytest.mark.parametrize("value", [-5, 0])
+    def test_order_guard_below_one_is_located(self, value, tmp_path, capsys):
+        from pfg.cli import main
+
+        source = f"group G = cyclic(4)\nset order_guard = {value}\n"
+        (d,) = parse(source).diagnostics
+        assert (d.line, d.column) == (2, 19)
+        assert d.message == f"order_guard must be at least 1; got {value}"
+        path = tmp_path / "small.pfg"
+        path.write_text(source)
+        assert main(["run", str(path)]) == 2
+        assert "line 2, column 19" in capsys.readouterr().err
+        assert parse("set order_guard = 1\n").spec.options == {"order_guard": 1}
+
+    @pytest.mark.parametrize("value", ["-5", "0"])
+    def test_order_guard_flag_below_one_exits_2(self, value, tmp_path, capsys):
+        from pfg.cli import main
+
+        path = tmp_path / "ok.pfg"
+        path.write_text("group G = cyclic(4)\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["run", str(path), "--order-guard", value])
+        assert exc.value.code == 2
+        assert f"--order-guard: at least 1; got {value}" in capsys.readouterr().err
+        assert main(["run", str(path), "--order-guard", "4"]) == 0
+
+
+class TestSetsAndLists:
+    """``{INT|NAME, ...}`` and ``[elem, ...]``: a comma between two entries and none after the last."""
+
+    PRELUDE = "group G = cyclic(6)\nendo f on G = identity\n"
+
+    @pytest.mark.parametrize(
+        "request_text, column, message",
+        [
+            ("o_pi(G, {2 3})", 20, "expected '}', found '3'"),
+            ("shrinkind(G, f, [4 -1])", 28, "expected ']', found '-1'"),
+            ("o_pi(G, {2, })", 21, "expected an integer or name inside { }"),
+            ("shrinkind(G, f, [4, ])", 29, "expected an element (integer or pair)"),
+            ("o_pi(G, {2)", 19, "expected '}', found ')'"),
+            ("shrinkind(G, f, [4)", 27, "expected ']', found ')'"),
+            ("o_pi(G, {2", 17, "unclosed '{'"),
+            ("shrinkind(G, f, [(0, 1)", 25, "unclosed '['"),
+        ],
+    )
+    def test_malformed_entries_are_located_and_run_exits_2(self, request_text, column, message, tmp_path):
+        from pfg.cli import main
+
+        source = self.PRELUDE + f"analyze {request_text}\n"
+        result = parse(source)
+        assert result.spec is None
+        (d,) = result.diagnostics
+        assert (d.line, d.column, d.message) == (3, column, message)
+        path = tmp_path / "bad.pfg"
+        path.write_text(source)
+        assert main(["run", str(path)]) == 2
+
+    def test_empty_and_well_formed_entries_parse(self):
+        source = self.PRELUDE + "analyze o_pi(G, {})\nanalyze o_pi(G, {2, 3})\nanalyze shrinkind(G, f, [2, 3])\n"
+        spec = parse(source).spec
+        assert [a.args[1:] for a in spec.analyses] == [
+            (ASet(()),),
+            (ASet((2, 3)),),
+            (ARef("f"), AList((2, 3))),
+        ]
+
+
+class TestErrorKinds:
+    """The kind and location of each construction error of a definition."""
+
+    @pytest.mark.parametrize(
+        "source, kind, line, column",
+        [
+            ("  group G = semidirect(cyclic(6), cyclic(2), mult_action)\n", "BadAction", 1, 3),
+            ("group G = semidirect(cyclic(9), cyclic(2), mult_action)\n", "BadAction", 1, 1),
+            ("group G = cyclic(4)\nendo f on G = map {7 -> 1}\n", "ParamOutOfRange", 2, 1),
+            ("group G = cyclic(4)\n  endo f on G = map {(1, 1) -> 1}\n", "ParamOutOfRange", 2, 3),
+            ("group G = semidirect(cyclic(5), cyclic(2), act {2 -> {1 -> 4}})\n", "ParamOutOfRange", 1, 1),
+            ("group G = cyclic(4)\nendo f on G = identity\nanalyze shrinkind(G, f, [9])\n", "ParamOutOfRange", 3, 1),
+            ("group G = cyclic(4)\nendo f on G = identity\nanalyze shrinkind(G, f, [(0, 1)])\n", "ParamOutOfRange", 3, 1),
+        ],
+    )
+    def test_kind_and_location(self, source, kind, line, column):
+        with pytest.raises(ScenarioError) as exc:
+            validate(parse(source).spec)
+        assert (exc.value.kind, exc.value.line, exc.value.column) == (kind, line, column)
 
 
 class TestBuiltinEndos:
