@@ -16,9 +16,11 @@ import numpy as np
 from .core import (
     BadAction,
     FiniteGroup,
+    PairTable,
     ParamOutOfRange,
     Subgroup,
     check_order,
+    product_table,
 )
 
 
@@ -72,20 +74,9 @@ def units_mod(p: int, k: int, label: str | None = None, *, order_guard: int | No
     return FiniteGroup(table, label or f"U{m}", validate=False, order_guard=order_guard)
 
 
-def _pair_table(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """The frozen (n, n) table of pair products from the broadcast sum of
-    ``left`` and ``right`` on the (a1, b1, a2, b2) grid.
-
-    The sum is written straight into a C-order buffer: NumPy's default
-    result of the broadcast is not contiguous, and reshaping it would copy
-    the whole table again.
-    """
-    na, nb = left.shape[0], right.shape[1]
-    n = na * nb
-    table = np.empty((n, n), dtype=np.int16)
-    np.add(left, right, out=table.reshape(na, nb, na, nb))
-    table.setflags(write=False)
-    return table
+def _full_table(G: FiniteGroup) -> np.ndarray:
+    """G's table as an array: a product reads its factors' tables whole."""
+    return G.table.dense() if isinstance(G.table, PairTable) else G.table
 
 
 def direct_product(
@@ -94,8 +85,9 @@ def direct_product(
     """A x B with pair encoding (a, b) -> a*|B| + b."""
     na, nb = A.order, B.order
     check_order(na * nb, order_guard)
-    # grid axes (a1, b1, a2, b2): (a1*a2) * nb + b1*b2, at most (na-1)*nb + nb-1 = n-1
-    table = _pair_table(A.table[:, None, :, None] * nb, B.table[None, :, None, :])
+    # (a1, b1) * (a2, b2) = (a1*a2) * nb + b1*b2, at most (na-1)*nb + nb-1 = n-1;
+    # the left coordinate does not depend on b1, so that axis has stride 0
+    table = product_table(np.broadcast_to(_full_table(A)[:, None, :] * nb, (na, nb, na)), _full_table(B))
     # componentwise product of two groups, identity (0, 0) = 0
     return FiniteGroup(table, label or f"{A.label}x{B.label}", validate=False, order_guard=order_guard)
 
@@ -193,9 +185,8 @@ def semidirect(
     check_order(nn * nh, order_guard)
     act = action(N, H) if callable(action) else np.asarray(action, dtype=np.int32)
     _validate_action(N, H, act)
-    # grid axes (a1, h1, a2, h2): (a1 * act_{h1}(a2)) * nh + h1*h2, at most (nn-1)*nh + nh-1 = n-1
-    ta = N.table[:, act] * nh
-    table = _pair_table(ta[:, :, :, None], H.table[None, :, None, :])
+    # (a1, h1) * (a2, h2) = (a1 * act_{h1}(a2)) * nh + h1*h2, at most (nn-1)*nh + nh-1 = n-1
+    table = product_table(N.table[:, act] * nh, _full_table(H))
     # a group once act is a homomorphism into Aut(N), which _validate_action proved
     G = FiniteGroup(table, label or f"{N.label}:{H.label}", validate=False, order_guard=order_guard)
     normal = Subgroup(G, np.arange(nn, dtype=np.int32) * nh, _checked=True)

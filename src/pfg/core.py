@@ -221,14 +221,110 @@ def _scan_associativity(table: np.ndarray) -> list[int]:
     return gens
 
 
+class PairTable:
+    """The multiplication table of a pair-encoded product, kept as factors.
+
+    Element x is the pair (a, b) = divmod(x, nb), and
+    ``t[x, y] = left[a1, b1, a2] + right[b1, b2]``: ``left`` (na, nb, na)
+    holds the left coordinate of each product times nb, and ``right`` is
+    the right factor's (nb, nb) table.  Indexing follows NumPy: integers
+    and integer arrays broadcast together, and a slice is an outer axis in
+    its place, so ``t[:, m]`` has shape (n, |m|).  ``dense()`` writes the
+    whole table.  There is no implicit conversion: ``np.asarray`` of a
+    factored table raises, where it would silently wrap it in an object
+    array.
+    """
+
+    __slots__ = ("left", "right", "shape", "_flat")
+    ndim = 2
+    dtype = np.dtype(np.int16)
+
+    def __init__(self, left: np.ndarray, right: np.ndarray):
+        for factor in (left, right):
+            factor.setflags(write=False)
+        self.left = left
+        self.right = right
+        n = left.shape[0] * right.shape[0]
+        self.shape = (n, n)
+        self._flat: tuple | None = None  # made by the first array gather
+
+    def _flatten(self) -> tuple:
+        """``left`` as one flat run of its memory with its steps in items,
+        so that left[a1, b1, a2] sits at a1*s0 + b1*s1 + a2*s2 (s1 is 0 for a
+        direct product), and ``right`` flat.  One flat take is faster than
+        indexing with three arrays.  NumPy gives every factor non-negative
+        strides, so each offset lies inside the memory the view spans."""
+        left = self.left
+        steps = [s // left.itemsize for s in left.strides]
+        span = 1 + sum((d - 1) * s for d, s in zip(left.shape, steps))
+        flat = np.lib.stride_tricks.as_strided(left, (span,), (left.itemsize,), writeable=False)
+        return flat, steps, self.right.ravel()
+
+    @property
+    def dense_bytes(self) -> int:
+        return self.shape[0] ** 2 * self.dtype.itemsize
+
+    def dense(self) -> np.ndarray:
+        """The frozen (n, n) table, from the broadcast sum of the factors on
+        the (a1, b1, a2, b2) grid.  The sum is written straight into a C-order
+        buffer: NumPy's default result of the broadcast is not contiguous,
+        and reshaping it would copy the whole table again."""
+        na, nb = self.left.shape[0], self.right.shape[0]
+        table = np.empty(self.shape, dtype=np.int16)
+        np.add(self.left[..., None], self.right[None, :, None, :], out=table.reshape(na, nb, na, nb))
+        table.setflags(write=False)
+        return table
+
+    def __array__(self, *args, **kwargs):
+        raise TypeError("a factored table is read by indexing; call dense() for the array")
+
+    def __getitem__(self, key):
+        x, y = key if isinstance(key, tuple) else (key, slice(None))
+        nb = self.right.shape[0]
+        if type(x) is int and type(y) is int:
+            (a1, b1), (a2, b2) = divmod(x, nb), divmod(y, nb)
+            return self.left[a1, b1, a2] + self.right[b1, b2]
+        x_outer, y_outer = isinstance(x, slice), isinstance(y, slice)
+        x = np.arange(self.shape[0])[x] if x_outer else np.asarray(x)
+        y = np.arange(self.shape[0])[y] if y_outer else np.asarray(y)
+        if x.dtype == bool or y.dtype == bool:
+            raise IndexError("a factored table takes integer indices, not masks")
+        # one cast to intp, not one per gather
+        x, y = x.astype(np.intp, copy=False), y.astype(np.intp, copy=False)
+        if x_outer:
+            x = x.reshape(-1, *[1] * y.ndim)
+        elif y_outer:
+            x = x[..., None]
+        if self._flat is None:
+            self._flat = self._flatten()
+        left, (s0, s1, s2), right = self._flat
+        a1, b1 = np.divmod(x, nb)
+        a2, b2 = np.divmod(y, nb)
+        return left.take(a1 * s0 + b1 * s1 + a2 * s2) + right.take(b1 * nb + b2)
+
+
+# a product's table is kept factored when its dense form would pass this many
+# bytes: 16 MiB, so orders up to 2896 are dense and order 2897 on is factored
+DENSE_TABLE_BYTES = 16 * 2**20
+
+
+def product_table(left: np.ndarray, right: np.ndarray) -> np.ndarray | PairTable:
+    """The table of ``PairTable(left, right)``, dense unless it would pass ``DENSE_TABLE_BYTES``."""
+    t = PairTable(left, right)
+    return t if t.dense_bytes > DENSE_TABLE_BYTES else t.dense()
+
+
 class FiniteGroup:
-    """A finite group given by a complete multiplication table.
+    """A finite group given by its multiplication table.
 
     ``table[a, b]`` is the index of the product a*b and the identity is
-    index 0.  Tables and inverses are int16, which holds every order up to
-    ``MAX_ORDER``.  The table is adopted if it is a read-only int16 array
-    that owns its data (constructors write such a table and hand it over);
-    anything else is range-checked as given and then copied into int16.
+    index 0.  The table is an (n, n) array, or for a product above the
+    ``DENSE_TABLE_BYTES`` rule a ``PairTable`` that computes each entry
+    from its factors; code reads either by indexing alone.  Tables and
+    inverses are int16, which holds every order up to ``MAX_ORDER``.  A
+    ``PairTable``, or a read-only int16 array that owns its data, is
+    adopted (constructors build such a table and hand it over); anything
+    else is range-checked as given and then copied into int16.
     ``validate=True`` treats the table as raw input: range check, identity
     found and relabelled to 0, inverse search and Light's test.
     ``validate=False`` is the caller's promise of a group with identity 0:
@@ -244,7 +340,7 @@ class FiniteGroup:
         validate: bool = True,
         order_guard: int | None = None,
     ):
-        adopt = (
+        adopt = isinstance(table, PairTable) or (
             isinstance(table, np.ndarray)
             and table.dtype == np.int16
             and table.flags.owndata
@@ -279,7 +375,8 @@ class FiniteGroup:
             raise MissingInverse(int(bad[0]))
         gens = _scan_associativity(t) if validate else None
 
-        t.setflags(write=False)
+        if isinstance(t, np.ndarray):
+            t.setflags(write=False)
         inv.setflags(write=False)
         self.table = t
         self.inv = inv
@@ -333,7 +430,10 @@ class FiniteGroup:
         return list(self._generators)
 
     def is_abelian(self) -> bool:
-        return bool(np.array_equal(self.table, self.table.T))
+        """The generators commute pairwise, so every two elements do."""
+        g = np.asarray(self.generators(), dtype=np.intp)
+        prods = self.table[g[:, None], g]
+        return bool(np.array_equal(prods, prods.T))
 
     def __repr__(self) -> str:
         return f"FiniteGroup({self.label!r}, order={self.order})"
@@ -616,10 +716,12 @@ def quotient(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, GroupHom]:
 
     Cosets x*N are labelled in one walk over x = 0..n-1: the first
     unlabelled x is the least element of its coset and gets the next label,
-    so labels follow the order of the least representatives.  The walk
-    costs n cheap steps plus one labelling of |N| entries per coset; the
-    worst case is a tiny N: for a trivial N at order 4374 the walk takes
-    about 11 ms, where the n x |N| coset matrix took under 1 ms.
+    so labels follow the order of the least representatives.  Each coset is
+    the row gather ``table[x, members]`` of |N| entries, never a whole
+    row, so the walk costs n cheap steps plus n entries in all; the worst
+    case is a tiny N: for a trivial N at order 4374 the walk takes about
+    11 ms, where the n x |N| coset matrix took under 1 ms.  The quotient's
+    table is dense, as it gathers |G/N|^2 entries of G's.
     """
     if N.parent is not G:
         raise DifferentParents("subgroup does not live in the given group")
@@ -630,7 +732,7 @@ def quotient(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, GroupHom]:
     reps: list[int] = []
     for x in range(G.order):
         if label[x] < 0:
-            label[table[x][members]] = len(reps)
+            label[table[x, members]] = len(reps)
             reps.append(x)
     r = np.asarray(reps)
     qtable = label[table[r[:, None], r]]

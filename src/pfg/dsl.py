@@ -322,11 +322,17 @@ class _Parser:
         self.error(f"expected {sym!r}, found {_found(t)}")
 
     def expect_int(self) -> int:
+        """The one reading of an integer literal: one longer than Python
+        converts (4300 digits by default) is an error at its column."""
         t = self.peek()
-        if t.kind == "int":
-            self.next()
-            return int(t.text)
-        self.error(f"expected an integer, found {_found(t)}")
+        if t.kind != "int":
+            self.error(f"expected an integer, found {_found(t)}")
+        try:
+            value = int(t.text)
+        except ValueError:
+            self.error(f"integer literal of {len(t.text.lstrip('-'))} digits is too long", t)
+        self.next()
+        return value
 
     def expect_name(self, what: str = "a name") -> str:
         t = self.peek()
@@ -341,10 +347,12 @@ class _Parser:
 
     def int_or_name(self, message: str) -> int | str:
         t = self.peek()
-        if t.kind not in ("int", "name"):
+        if t.kind == "int":
+            return self.expect_int()
+        if t.kind != "name":
             self.error(message)
         self.next()
-        return int(t.text) if t.kind == "int" else t.text
+        return t.text
 
     def items(self, parse_one, close: str, opened: _Token, empty: bool = False) -> tuple:
         """What parse_one reads, once or more (or none when ``empty``), with
@@ -499,10 +507,8 @@ class _Parser:
         return self.items(entry, "}", self.expect_sym("{"))
 
     def parse_elem(self):
-        t = self.peek()
-        if t.kind == "int":
-            self.next()
-            return int(t.text)
+        if self.peek().kind == "int":
+            return self.expect_int()
         if self.at("("):
             op = self.expect_sym("(")
             a = self.parse_elem()
@@ -518,8 +524,7 @@ class _Parser:
             self.next()
             return ARef(t.text)
         if t.kind == "int":
-            self.next()
-            return AInt(int(t.text))
+            return AInt(self.expect_int())
         if self.at("{"):
             item = "expected an integer or name inside { }"
             return ASet(self.items(lambda: self.int_or_name(item), "}", self.expect_sym("{"), empty=True))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from pfg.construct import (
+    _full_table,
     cyclic,
     dihedral,
     direct_product,
@@ -28,6 +29,7 @@ from pfg.core import (
     NotAssociative,
     NotNormal,
     OrderGuardExceeded,
+    PairTable,
     ParamOutOfRange,
     Subgroup,
     build_from_table,
@@ -44,6 +46,7 @@ from pfg.core import (
     trivial_subgroup,
     whole_subgroup,
 )
+from pfg.dsl import parse, validate
 
 
 def z4_table():
@@ -204,16 +207,95 @@ def _unit_level_ref(p, k):
 
 def _assert_int16_table(G, ref):
     """``table`` and ``inv`` are read-only, owning int16 arrays equal to ``ref``,
-    compared in blocks of rows so that no int64 copy of a large table is made."""
-    for arr in (G.table, G.inv):
+    compared in blocks of rows so that no int64 copy of a large table is made.
+    A factored table is checked through its dense form."""
+    table = _full_table(G)
+    for arr in (table, G.inv):
         assert arr.dtype == np.int16 and arr.flags.owndata and not arr.flags.writeable
     n = G.order
     y = np.arange(n, dtype=np.int64)
     for lo in range(0, n, 256):
         x = np.arange(lo, min(n, lo + 256), dtype=np.int64)
         rows = ref(x[:, None], y[None, :])
-        assert np.array_equal(G.table[lo : lo + 256], rows), (G.label, lo)
+        assert np.array_equal(table[lo : lo + 256], rows), (G.label, lo)
         assert np.array_equal(G.inv[lo : lo + 256], np.argmax(rows == 0, axis=1)), (G.label, lo)
+
+
+# the scenario of the order-12,500 group: far above the size rule, so its dense table would be 312.5 MB
+BIG_SCENARIO = """set order_guard = 32000
+group G = semidirect(cyclic(125), units_mod(5, 3), mult_action)
+endo f on G = scale_first(5)
+analyze theorem_a(G, f)
+analyze o_pi(G, {5})
+"""
+
+
+def _builder_levels(depth=3):
+    """(kind, levels, reference) for every tower builder at the given depth."""
+    from pfg.tower import build_tower
+
+    refs = {
+        "zp": lambda k: _cyclic_ref(2**k),
+        "zpn": lambda k: _product_ref(_cyclic_ref(3**k), _cyclic_ref(3**k), 3**k),
+        "units_semidirect": lambda k: _unit_level_ref(3, k),
+        "s3_times_z2": lambda k: _product_ref(_dihedral_ref(3), _cyclic_ref(2**k), 2**k),
+        "product": lambda k: _product_ref(_cyclic_ref(2**k), _cyclic_ref(3**k), 3**k),
+    }
+    params = {
+        "zp": (2,),
+        "zpn": (3, 2),
+        "units_semidirect": (3,),
+        "s3_times_z2": (),
+        "product": (build_tower("zp", (2,), depth), build_tower("zp", (3,), depth)),
+    }
+    for kind, ref in refs.items():
+        levels = build_tower(kind, params[kind], depth)[0].levels
+        yield kind, levels, [ref(k) for k in range(1, depth + 1)]
+
+
+def _dense_rows(t, lo, hi):
+    """Rows lo..hi-1 of ``t.dense()``, by the same broadcast sum, without the whole table."""
+    a, b = np.divmod(np.arange(lo, min(hi, t.shape[0])), t.right.shape[0])
+    return (t.left[a, b][:, :, None] + t.right[b][:, None, :]).reshape(a.size, -1)
+
+
+def _assert_gathers_match(G, block=256):
+    """Every index form pfg reads a table with, on G's factored table, against
+    its dense rows in blocks: values, int16 and NumPy's result shapes (a slice
+    is an outer axis in its place).  Each entry is read once by a whole-row
+    form; the three such forms take turns from block to block."""
+    t, n = G.table, G.order
+    assert isinstance(t, PairTable), G
+    rng = np.random.default_rng(n)
+    m = np.sort(rng.choice(n, size=min(n, 37), replace=False)).astype(np.int32)  # a member list
+    g = int(rng.integers(n))
+    by_cols = t[:, m]  # (n, |m|)
+    col_g = t[:, g]  # (n,)
+    assert by_cols.shape == (n, m.size) and col_g.shape == (n,)
+    m_rows = np.concatenate([_dense_rows(t, x, x + 1) for x in m.tolist()])
+    for lo in range(0, n, block):
+        dense = _dense_rows(t, lo, lo + block)
+        rows = np.arange(lo, lo + dense.shape[0])
+        r16 = rows.astype(np.int16)
+        perm = rng.permutation(n)[: rows.size]
+        whole_rows = (lambda: t[rows], lambda: t[lo : lo + block], lambda: t[r16, :])[lo // block % 3]
+        for got, want in (
+            (whole_rows(), dense),
+            (t[rows[:, None], m], dense[:, m]),
+            (t[rows[:, None], m[None, :]], dense[:, m]),
+            (t[r16, g], dense[:, g]),
+            (t[rows, perm], dense[np.arange(rows.size), perm]),
+            (t[m[:, None], rows], m_rows[:, rows]),
+            (by_cols[lo : lo + block], dense[:, m]),
+            (col_g[lo : lo + block], dense[:, g]),
+        ):
+            assert got.dtype == np.int16 and np.array_equal(got, want), (G.label, lo)
+        i = int(rng.integers(rows.size))
+        x, y = lo + i, int(rng.integers(n))
+        assert np.array_equal(t[x], dense[i]) and np.array_equal(t[np.int32(x), :], dense[i])
+        for a, b in ((x, y), (np.int16(x), np.int32(y)), (np.intp(x), y)):
+            got = t[a, b]
+            assert got.shape == () and int(got) == dense[i, y], (G.label, x, y)
 
 
 class TestInt16Tables:
@@ -250,32 +332,132 @@ class TestInt16Tables:
             _assert_int16_table(H, lambda x, y: np.searchsorted(m, t[m[x], m[y]]))
 
     def test_tower_levels(self):
-        from pfg.tower import build_tower
-
-        refs = {
-            "zp": lambda k: _cyclic_ref(2**k),
-            "zpn": lambda k: _product_ref(_cyclic_ref(3**k), _cyclic_ref(3**k), 3**k),
-            "units_semidirect": lambda k: _unit_level_ref(3, k),
-            "s3_times_z2": lambda k: _product_ref(_dihedral_ref(3), _cyclic_ref(2**k), 2**k),
-            "product": lambda k: _product_ref(_cyclic_ref(2**k), _cyclic_ref(3**k), 3**k),
-        }
-        params = {
-            "zp": (2,),
-            "zpn": (3, 2),
-            "units_semidirect": (3,),
-            "s3_times_z2": (),
-            "product": (build_tower("zp", (2,), 3), build_tower("zp", (3,), 3)),
-        }
-        for kind, ref in refs.items():
-            tower, _ = build_tower(kind, params[kind], 3)
-            for k, G in enumerate(tower.levels, start=1):
-                _assert_int16_table(G, ref(k))
+        for _, levels, refs in _builder_levels():
+            for G, ref in zip(levels, refs):
+                _assert_int16_table(G, ref)
 
     def test_cyclic_5000_rows(self):
         G = cyclic(5000)
         j = np.arange(5000)
         for i in (0, 1, 2499, 4999):
             assert np.array_equal(G.table[i], (i + j) % 5000)
+
+
+class TestPairTable:
+    """Products above ``DENSE_TABLE_BYTES`` keep a factored table; every read
+    of it must give what the dense table gives."""
+
+    def test_size_rule(self):
+        assert isinstance(direct_product(cyclic(2), cyclic(1448)).table, np.ndarray)  # order 2896: 16,773,632 bytes
+        assert isinstance(direct_product(cyclic(2), cyclic(1449)).table, PairTable)  # order 2898
+        from pfg.catalog import paper_example_level
+
+        assert isinstance(paper_example_level(2, 6)[0].group.table, np.ndarray)  # order 2048
+        assert isinstance(paper_example_level(7, 2)[0].group.table, np.ndarray)  # order 2058
+        assert isinstance(unit_semidirect_level(3, 4).group.table, PairTable)  # order 4374
+
+    def test_gathers_match_dense_above_the_rule(self):
+        """The dense rows are checked against the closed form too: in full
+        where the whole table is small enough, at order 12,500 on three blocks."""
+        _assert_gathers_match(unit_semidirect_level(3, 4).group)  # its closed form: test_constructors
+        G = direct_product(cyclic(64), cyclic(64))
+        _assert_gathers_match(G)
+        _assert_int16_table(G, _product_ref(_cyclic_ref(64), _cyclic_ref(64), 64))
+        G = direct_product(cyclic(500), dihedral(3).group)  # order 3000, a right factor that does not commute
+        _assert_gathers_match(G)
+        _assert_int16_table(G, _product_ref(_cyclic_ref(500), _dihedral_ref(3), 6))
+        G = validate(parse(BIG_SCENARIO).spec).environment["G"][0].group
+        _assert_gathers_match(G)
+        ref, n = _unit_level_ref(5, 3), G.order
+        for lo in (0, n // 2, n - 100):
+            x = np.arange(lo, lo + 100, dtype=np.int64)
+            assert np.array_equal(_dense_rows(G.table, lo, lo + 100), ref(x[:, None], np.arange(n)[None, :]))
+
+    def test_gathers_match_dense_with_every_product_factored(self, monkeypatch):
+        from pfg import core
+        from pfg.catalog import paper_example_level
+
+        monkeypatch.setattr(core, "DENSE_TABLE_BYTES", 0)
+        for kind, levels, refs in _builder_levels():
+            for G, ref in zip(levels, refs):
+                if kind != "zp":  # the zp levels are cyclic, whose tables are raw
+                    _assert_gathers_match(G)
+                    _assert_int16_table(G, ref)
+        for p, k in ((2, 6), (7, 2)):
+            G = paper_example_level(p, k)[0].group
+            _assert_gathers_match(G)
+            _assert_int16_table(G, _unit_level_ref(p, k))
+
+    def test_reports_unchanged_with_every_product_factored(self, monkeypatch):
+        from importlib import resources
+        from pathlib import Path
+
+        from pfg import core
+        from pfg.cli import run_demo
+        from pfg.report import emit, run
+
+        golden = Path(__file__).parent / "golden"
+        monkeypatch.setattr(core, "DENSE_TABLE_BYTES", 0)
+        assert isinstance(dihedral(3).group.table, PairTable)
+        assert emit(run_demo(3, 3), "json") == (golden / "demo_p3_d3.json").read_bytes()
+        for name in ("paper_example", "two_generator", "dihedral_controls"):
+            source = (resources.files("pfg") / "scenarios" / f"{name}.pfg").read_text(encoding="utf-8")
+            resolved = validate(parse(source).spec)
+            resolved = type(resolved)(name, resolved.environment, resolved.analyses, resolved.options)
+            assert emit(run(resolved), "json") == (golden / f"{name}.json").read_bytes(), name
+
+    def test_no_implicit_array(self):
+        t = unit_semidirect_level(3, 4).group.table
+        for convert in (np.asarray, lambda a: np.take(a, [0], axis=0), lambda a: np.add(a, 0)):
+            with pytest.raises(TypeError, match="dense"):
+                convert(t)
+        with pytest.raises(IndexError):
+            t[np.ones(t.shape[0], dtype=bool)]
+
+    def test_factored_groups_are_never_materialized(self, monkeypatch):
+        """Neither the depth-4 demo nor the order-12,500 scenario builds a dense
+        table above the rule, and the scenario's traced peak stays far below
+        the 312.5 MB such a table would take."""
+        import tracemalloc
+
+        from pfg import core
+        from pfg.cli import run_demo
+        from pfg.report import run
+
+        dense, above = PairTable.dense, []
+
+        def counting(self):
+            if self.dense_bytes > core.DENSE_TABLE_BYTES:
+                above.append(self.shape[0])
+            return dense(self)
+
+        monkeypatch.setattr(PairTable, "dense", counting)
+        demo = run_demo(3, 4)
+        assert all(rec.status == "pass" for rec in demo.records)
+        tracemalloc.start()
+        try:
+            resolved = validate(parse(BIG_SCENARIO).spec)
+            report = run(resolved)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert isinstance(resolved.environment["G"][0].group.table, PairTable)
+        assert [rec.status for rec in report.records] == ["pass", "pass"]
+        assert above == []
+        assert peak < 32 * 2**20, peak  # about 6 MiB with numpy 2.4
+        unit_semidirect_level(3, 4).group.table.dense()  # the counter does see one
+        assert above == [4374]
+
+    def test_is_abelian_matches_the_transpose(self):
+        """``is_abelian`` checks the generators; the full transpose is the oracle."""
+        from pfg.catalog import builtin_entries
+
+        groups = [e.group for e in builtin_entries(500)]
+        groups += [G for _, levels, _ in _builder_levels() for G in levels]
+        assert {G.is_abelian() for G in groups} == {True, False}
+        for G in groups:
+            table = _full_table(G)
+            assert G.is_abelian() == bool(np.array_equal(table, table.T)), G
 
 
 class TestCatalogConstruct:

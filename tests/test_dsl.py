@@ -346,6 +346,43 @@ class TestOrderLimit:
         assert main(["run", str(path), "--order-guard", "4"]) == 0
 
 
+class TestLongIntegerLiterals:
+    """A literal longer than Python converts to int (4300 digits by default)
+    is a located parse error at every place an integer is read."""
+
+    LONG = "1" * 5000
+    PRELUDE = "group G = cyclic(6)\nendo f on G = identity\n"
+
+    @pytest.mark.parametrize(
+        "line, column",
+        [
+            ("group H = cyclic({n})", 18),
+            ("group H = cyclic(-{n})", 18),
+            ("endo g on G = map {{{n} -> 1}}", 20),
+            ("endo g on G = map {{1 -> ({n}, 0)}}", 26),
+            ("analyze o_pi(G, {{{n}}})", 18),
+            ("analyze shrinkind(G, f, [{n}])", 26),
+            ("analyze typef(G, {n})", 18),
+            ("tower T = zp({n}) depth 2", 14),
+            ("tower T = zp(2) depth {n}", 23),
+            ("set order_guard = {n}", 19),
+        ],
+    )
+    def test_located_and_run_exits_2(self, line, column, tmp_path, capsys):
+        from pfg.cli import main
+
+        source = self.PRELUDE + line.format(n=self.LONG) + "\n"
+        result = parse(source)
+        assert result.spec is None
+        (d,) = result.diagnostics
+        assert (d.line, d.column, d.message) == (3, column, "integer literal of 5000 digits is too long")
+        path = tmp_path / "long.pfg"
+        path.write_text(source)
+        assert main(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "line 3, column" in err and "Traceback" not in err and "ValueError" not in err
+
+
 class TestSetsAndLists:
     """``{INT|NAME, ...}`` and ``[elem, ...]``: a comma between two entries and none after the last."""
 

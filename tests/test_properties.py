@@ -16,6 +16,7 @@ from pfg.core import (
     GroupError,
     GroupHom,
     NotAssociative,
+    PairTable,
     Subgroup,
     _orbit_closure,
     _scan_associativity,
@@ -45,7 +46,7 @@ from pfg.endo import (
     semigroup_contraction,
     shrinkind_check,
 )
-from pfg.construct import cyclic, direct_product, is_prime, semidirect, unit_semidirect_level
+from pfg.construct import _full_table, cyclic, direct_product, is_prime, semidirect, unit_semidirect_level
 from pfg.lattice import (
     AutoSet,
     _adjunction_enumeration,
@@ -366,12 +367,13 @@ def test_constructed_groups_pass_light_test_and_keep_their_inverses():
     proved = [G for kind, params in towers for G in build_tower(kind, params, 3)[0].levels]
     proved += [paper_example_level(2, 6)[0].group, paper_example_level(7, 2)[0].group]
     proved.append(unit_semidirect_level(3, 4).group)
+    assert isinstance(proved[-1].table, PairTable)  # order 4374 is kept factored
     for G in proved:
-        assert _scan_associativity(G.table) == G.generators()
+        assert _scan_associativity(_full_table(G)) == G.generators()
     for G in proved + [e.group for e in builtin_entries(500)]:
-        idx = np.arange(G.order)
-        assert np.array_equal(G.table[0], idx) and np.array_equal(G.table[:, 0], idx)
-        assert np.array_equal(G.inv, np.argmax(G.table == 0, axis=1)), G
+        idx, table = np.arange(G.order), _full_table(G)
+        assert np.array_equal(table[0], idx) and np.array_equal(table[:, 0], idx)
+        assert np.array_equal(G.inv, np.argmax(table == 0, axis=1)), G
 
 
 def test_identity_and_inverse_laws_hold_everywhere():
