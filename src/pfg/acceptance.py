@@ -1,8 +1,9 @@
-"""The acceptance suite: one callable per criterion, exact tolerances.
+"""The acceptance suite: one table of criteria, one runner, one line format.
 
-Each check returns a CriterionResult; ``run_all`` executes the whole list.
-The randomized sweeps are seeded and sized here, nowhere else, so the CLI
-selftest and the pytest suite run the identical checks.
+A row of ``CRITERIA`` maps (seed, sweep samples) to (problems, summary) and
+passes with no problems; one that raises is a FAIL naming the exception.
+The sweeps are seeded and sized here only, so ``pfg selftest`` and pytest
+run the identical checks and print the identical lines.
 """
 
 from __future__ import annotations
@@ -10,12 +11,16 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass
+from importlib import resources
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
 from .catalog import (
+    alternating4,
     builtin_entries,
     paper_example_level,
+    quaternion8,
     random_endo,
     random_subgroup,
 )
@@ -31,7 +36,6 @@ from .core import (
     preimage,
     quotient,
     trivial_subgroup,
-    _orbit_closure,
 )
 from .cli import run_demo
 from .dsl import parse, specs_equivalent, unparse, validate
@@ -50,6 +54,7 @@ from .endo import (
     verify_theorem_a,
 )
 from .lattice import (
+    AutoSet,
     all_subgroups,
     count_profile,
     enumerate_normals,
@@ -68,25 +73,12 @@ from .tower import (
 )
 
 SWEEP_SAMPLES = 10_000
+QUICK_SAMPLES = 500
 ORACLE_ORDER_CAP = 200
 LATTICE_ORACLE_CAP = 48
 
 
-@dataclass(frozen=True)
-class CriterionResult:
-    criterion: int
-    name: str
-    passed: bool
-    detail: str
-
-
-def _result(criterion: int, name: str, passed: bool, detail: str = "") -> CriterionResult:
-    return CriterionResult(criterion, name, bool(passed), detail)
-
-
-# ------------------------------------------------------------- criterion 1
-
-def check_paper_example() -> CriterionResult:
+def _paper_example(seed: int, samples: int) -> tuple[list[str], str]:
     t0 = time.perf_counter()
     report = run_demo(3, 3)
     elapsed = time.perf_counter() - t0
@@ -110,37 +102,27 @@ def check_paper_example() -> CriterionResult:
             problems.append(f"level {k} has failing checks")
     if elapsed >= 5.0:
         problems.append(f"runtime {elapsed:.2f}s >= 5s")
-    detail = f"runtime {elapsed:.2f}s" + ("; " + "; ".join(problems) if problems else "")
-    return _result(1, "paper_example_reproduction", not problems, detail)
+    return problems, f"runtime {elapsed:.2f}s"
 
 
-# ------------------------------------------------------------- criterion 2
-
-def check_theorem_a_sweep(seed: int = 0, samples: int = SWEEP_SAMPLES) -> CriterionResult:
+def _theorem_a_sweep(seed: int, samples: int) -> tuple[list[str], str]:
     entries = builtin_entries(500)
-    failures = 0
+    problems = []
     checked = 0
     for entry in entries:
         for f in entry.endos:
-            rec = verify_theorem_a(entry.group, f)
             checked += 1
-            failures += not rec.passed
+            if not verify_theorem_a(entry.group, f).passed:
+                problems.append(f"{entry.group.label}: theorem A fails")
     rng = np.random.default_rng(seed)
     for _ in range(samples):
         entry = entries[int(rng.integers(0, len(entries)))]
         f = random_endo(entry, rng)
-        rec = verify_theorem_a(entry.group, f)
         checked += 1
-        failures += not rec.passed
-    return _result(
-        2,
-        "theorem_a_sweep",
-        failures == 0,
-        f"{checked} instances ({len(entries)} groups; {samples} randomized), {failures} failures",
-    )
+        if not verify_theorem_a(entry.group, f).passed:
+            problems.append(f"{entry.group.label}: theorem A fails")
+    return problems, f"{checked} instances ({len(entries)} groups; {samples} randomized), {len(problems)} failures"
 
-
-# ------------------------------------------------------------- criterion 3
 
 def _python_compose(a: tuple, b: tuple) -> tuple:
     return tuple(a[x] for x in b)
@@ -174,16 +156,16 @@ def _python_filter_oracle(maps: list[tuple], k_members: set[int], n: int):
     return set(con), lam_meet
 
 
-def check_oracle_equivalence(seed: int = 0) -> CriterionResult:
+def _oracle_equivalence(seed: int, samples: int) -> tuple[list[str], str]:
     entries = [e for e in builtin_entries(500) if e.group.order <= ORACLE_ORDER_CAP]
-    mismatches = 0
+    problems = []
     endo_count = 0
     for entry in entries:
         for f in entry.endos:
             rep = contraction(f)
             endo_count += 1
             if not (rep.checks["orbit_oracle_agrees"] and rep.checks["cycle_oracle_agrees"]):
-                mismatches += 1
+                problems.append(f"{entry.group.label}: contraction oracles disagree")
 
     rng = np.random.default_rng(seed)
     sg_count = 0
@@ -205,20 +187,13 @@ def check_oracle_equivalence(seed: int = 0) -> CriterionResult:
                 got_lam = set(int(m) for m in rep.stable_image.members)
                 sg_count += 1
                 if got_con != want_con or got_lam != want_lam:
-                    mismatches += 1
+                    problems.append(f"{entry.group.label}: semigroup contraction disagrees with oracle")
                 if K.is_trivial and not rep.checks.get("tail_matches_monoid_oracle", False):
-                    mismatches += 1
-    return _result(
-        3,
-        "oracle_equivalence",
-        mismatches == 0,
-        f"{endo_count} contraction instances, {sg_count} semigroup instances, {mismatches} mismatches",
-    )
+                    problems.append(f"{entry.group.label}: tail disagrees with monoid oracle")
+    return problems, f"{endo_count} contraction instances, {sg_count} semigroup instances, {len(problems)} mismatches"
 
 
-# ------------------------------------------------------------- criterion 4
-
-def check_splitthm() -> CriterionResult:
+def _splitthm(seed: int, samples: int) -> tuple[list[str], str]:
     problems = []
     entries = builtin_entries(500)
     z4z9 = next(e for e in entries if e.group.label == "Z4xZ9")
@@ -239,12 +214,10 @@ def check_splitthm() -> CriterionResult:
     else:
         if rec.data["con_order"] != 9 or rec.data["stable_order"] != 6:
             problems.append(f"decomposition {rec.data['con_order']}x{rec.data['stable_order']} != 9x6")
-    return _result(4, "splitthm_decompositions", not problems, "; ".join(problems))
+    return problems, ""
 
 
-# ------------------------------------------------------------- criterion 5
-
-def check_theorem_b_towers() -> CriterionResult:
+def _theorem_b_towers(seed: int, samples: int) -> tuple[list[str], str]:
     problems = []
     t, f = build_zp_tower(2, 4)
     rep = verify_theorem_b_tower(t, f)
@@ -270,12 +243,10 @@ def check_theorem_b_towers() -> CriterionResult:
     top = o_lambda(t.levels[-1], EndoSemigroup(t.levels[-1], [f.endos[-1]]))
     if top.nilpotent:
         problems.append("negative control unexpectedly nilpotent; guard would be vacuous")
-    return _result(5, "theorem_b_towers", not problems, "; ".join(problems))
+    return problems, ""
 
 
-# ------------------------------------------------------------- criterion 6
-
-def check_section2_lemmas(seed: int = 0, samples: int = SWEEP_SAMPLES) -> CriterionResult:
+def _section2_lemmas(seed: int, samples: int) -> tuple[list[str], str]:
     problems = []
     entries = builtin_entries(500)
 
@@ -341,14 +312,10 @@ def check_section2_lemmas(seed: int = 0, samples: int = SWEEP_SAMPLES) -> Criter
         if not rec.passed:
             problems.append(f"fewprimes failed for {f!r}")
 
-    return _result(6, "section2_lemma_suite", not problems, "; ".join(problems) or f"{samples} shrinkind triples")
+    return problems, f"{samples} shrinkind triples"
 
 
-# ------------------------------------------------------------- criterion 7
-
-def check_simple_quotient_witness() -> CriterionResult:
-    from .catalog import alternating4, quaternion8
-
+def _simple_quotient_witness(seed: int, samples: int) -> tuple[list[str], str]:
     problems = []
     cases: list[tuple[FiniteGroup, Subgroup]] = []
     c4 = cyclic(4)
@@ -382,15 +349,10 @@ def check_simple_quotient_witness() -> CriterionResult:
             problems.append(f"{G.label}: witness quotient not simple")
         if w.kernel.size >= G.order:
             problems.append(f"{G.label}: witness not proper")
-    detail = f"{len(cases)} pairs checked" + ("; " + "; ".join(problems) if problems else "")
-    return _result(7, "simple_quotient_witness", not problems, detail)
+    return problems, f"{len(cases)} pairs checked"
 
 
-# ------------------------------------------------------------- criterion 8
-
-def check_regulation_suite() -> CriterionResult:
-    from .lattice import AutoSet
-
+def _regulation_suite(seed: int, samples: int) -> tuple[list[str], str]:
     problems = []
     d4 = dihedral(4)
     phi = GroupHom(d4.group, d4.group, scale_first_map(d4, 2))
@@ -410,22 +372,33 @@ def check_regulation_suite() -> CriterionResult:
         rec = tfrelstab_ii_check(sd, EndoSemigroup(sd.group, [phi]), None)
         if not rec.passed:
             problems.append(f"tfrelstab2 failed at level {k}")
-    return _result(8, "regulation_suite", not problems, "; ".join(problems))
+    return problems, ""
 
 
-# ------------------------------------------------------------- criterion 9
+def _breadth_first_closure(table: np.ndarray, gens) -> np.ndarray:
+    """Membership array of <gens>: saturate by every generator at every step."""
+    seen = np.zeros(table.shape[0], dtype=bool)
+    seen[0] = True
+    gens = np.asarray(gens, dtype=np.int64)
+    frontier = np.zeros(1, dtype=np.int64)
+    while frontier.size:
+        prods = np.unique(table[frontier[:, None], gens])
+        frontier = prods[~seen[prods]]
+        seen[frontier] = True
+    return seen
+
 
 def _oracle_subgroups_cyclic_joins(G: FiniteGroup) -> set[bytes]:
     """Independent enumeration: saturate cyclic subgroups under pairwise join."""
     found: dict[bytes, np.ndarray] = {}
     for x in range(G.order):
-        b = _orbit_closure(G.table, [x])
+        b = _breadth_first_closure(G.table, [x])
         found.setdefault(b.tobytes(), b)
     work = list(found.values())
     while work:
         a = work.pop()
         for b in list(found.values()):
-            j = _orbit_closure(G.table, np.flatnonzero(a | b))
+            j = _breadth_first_closure(G.table, np.flatnonzero(a | b))
             if j.tobytes() not in found:
                 found[j.tobytes()] = j
                 work.append(j)
@@ -433,14 +406,19 @@ def _oracle_subgroups_cyclic_joins(G: FiniteGroup) -> set[bytes]:
 
 
 def _oracle_subgroups_all_subsets(G: FiniteGroup) -> set[bytes]:
+    """Literal enumeration: every subset holding the identity and closed under products."""
     out = set()
-    for r in range(G.order + 1):
-        for subset in itertools.combinations(range(G.order), r):
-            out.add(_orbit_closure(G.table, list(subset)).tobytes())
+    for r in range(G.order):
+        for rest in itertools.combinations(range(1, G.order), r):
+            m = np.array((0, *rest))
+            bools = np.zeros(G.order, dtype=bool)
+            bools[m] = True
+            if bools[G.table[m[:, None], m]].all():
+                out.add(bools.tobytes())
     return out
 
 
-def check_lattice() -> CriterionResult:
+def _lattice(seed: int, samples: int) -> tuple[list[str], str]:
     problems = []
     small = [e for e in builtin_entries(LATTICE_ORACLE_CAP) if e.group.order <= LATTICE_ORACLE_CAP]
     for entry in small:
@@ -467,15 +445,10 @@ def check_lattice() -> CriterionResult:
     center = Subgroup(d4, center_members)
     if residual_intersection(d4, 2) != center:
         problems.append("I_2 of dihedral-8 is not the center")
-    detail = f"{len(small)} groups against the lattice oracle" + ("; " + "; ".join(problems) if problems else "")
-    return _result(9, "lattice_correctness", not problems, detail)
+    return problems, f"{len(small)} groups against the lattice oracle"
 
 
-# ------------------------------------------------------------ criterion 10
-
-def check_dsl_and_determinism() -> CriterionResult:
-    from importlib import resources
-
+def _dsl_and_determinism(seed: int, samples: int) -> tuple[list[str], str]:
     problems = []
     scen_root = resources.files("pfg") / "scenarios"
     names = sorted(p.name for p in scen_root.iterdir() if p.name.endswith(".pfg"))
@@ -507,22 +480,50 @@ def check_dsl_and_determinism() -> CriterionResult:
     r2 = run_demo(3, 2, seed=7)
     if emit(r1, "json") != emit(r2, "json"):
         problems.append("equal-seed demo runs are not byte-identical")
-    return _result(10, "dsl_and_report_determinism", not problems, "; ".join(problems))
+    return problems, ""
 
 
-# --------------------------------------------------------------- run all
+class Criterion(NamedTuple):
+    name: str
+    compute: Callable[[int, int], tuple[list[str], str]]  # (seed, samples) -> (problems, summary)
 
-def run_all(seed: int = 0, quick: bool = False) -> list[CriterionResult]:
-    samples = 500 if quick else SWEEP_SAMPLES
-    return [
-        check_paper_example(),
-        check_theorem_a_sweep(seed, samples),
-        check_oracle_equivalence(seed),
-        check_splitthm(),
-        check_theorem_b_towers(),
-        check_section2_lemmas(seed, samples),
-        check_simple_quotient_witness(),
-        check_regulation_suite(),
-        check_lattice(),
-        check_dsl_and_determinism(),
-    ]
+
+CRITERIA: tuple[Criterion, ...] = (
+    Criterion("paper_example_reproduction", _paper_example),
+    Criterion("theorem_a_sweep", _theorem_a_sweep),
+    Criterion("oracle_equivalence", _oracle_equivalence),
+    Criterion("splitthm_decompositions", _splitthm),
+    Criterion("theorem_b_towers", _theorem_b_towers),
+    Criterion("section2_lemma_suite", _section2_lemmas),
+    Criterion("simple_quotient_witness", _simple_quotient_witness),
+    Criterion("regulation_suite", _regulation_suite),
+    Criterion("lattice_correctness", _lattice),
+    Criterion("dsl_and_report_determinism", _dsl_and_determinism),
+)
+NAME_WIDTH = max(len(c.name) for c in CRITERIA)
+
+
+@dataclass(frozen=True)
+class CriterionResult:
+    name: str
+    passed: bool
+    detail: str
+
+    def line(self) -> str:
+        return f"[{'PASS' if self.passed else 'FAIL'}] {self.name.ljust(NAME_WIDTH)}  {self.detail}"
+
+
+def evaluate(criterion: Criterion, seed: int, samples: int) -> CriterionResult:
+    """One row's result; an exception inside the row is its FAIL."""
+    try:
+        problems, summary = criterion.compute(seed, samples)
+    except Exception as exc:  # noqa: BLE001 - a crash is this criterion's failure, not the run's end
+        return CriterionResult(criterion.name, False, f"{type(exc).__name__}: {exc}")
+    # repeated problems, such as one per failing instance of a group, are shown once
+    return CriterionResult(criterion.name, not problems, "; ".join(dict.fromkeys(filter(None, [summary, *problems]))))
+
+
+def run_criteria(seed: int, samples: int) -> Iterator[CriterionResult]:
+    """Evaluate the rows of ``CRITERIA`` in order, yielding each as it finishes."""
+    for criterion in CRITERIA:
+        yield evaluate(criterion, seed, samples)

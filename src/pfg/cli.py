@@ -109,15 +109,12 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if report.ok else 1
 
     if args.command == "selftest":
-        from .acceptance import run_all
+        from .acceptance import QUICK_SAMPLES, SWEEP_SAMPLES, run_criteria
 
-        results = run_all(seed=args.seed, quick=args.quick)
-        width = max(len(r.name) for r in results)
         ok = True
-        for r in results:
-            ok = ok and r.passed
-            status = "PASS" if r.passed else "FAIL"
-            print(f"[{status}] {r.name.ljust(width)}  {r.detail}")
+        for result in run_criteria(args.seed, QUICK_SAMPLES if args.quick else SWEEP_SAMPLES):
+            ok &= result.passed
+            print(result.line(), flush=True)
         print("selftest:", "OK" if ok else "FAILED")
         return 0 if ok else 1
 

@@ -279,10 +279,9 @@ def run(resolved: ResolvedScenario, config: RunConfig | None = None) -> Report:
     return Report(resolved.label, tuple(records), __version__, config.seed)
 
 
-def emit(report: Report, format: str = "text", *, timings: bool | None = None) -> bytes:
-    """Render a report.  JSON is byte-stable: times are zeroed unless asked."""
+def emit(report: Report, format: str = "text") -> bytes:
+    """Render a report.  JSON is byte-stable: its times are zeroed."""
     if format == "json":
-        include_ms = bool(timings)
         tree = {
             "scenario": report.scenario,
             "analyses": [
@@ -291,7 +290,7 @@ def emit(report: Report, format: str = "text", *, timings: bool | None = None) -
                     "target": r.target,
                     "status": r.status,
                     "details": r.details,
-                    "ms": round(r.ms, 3) if include_ms else 0,
+                    "ms": 0,
                 }
                 for r in report.records
             ],

@@ -115,11 +115,6 @@ class TestEmit:
         got = emit(run(resolved), "json")
         assert got == (GOLDEN_DIR / f"{name}.json").read_bytes()
 
-    def test_timings_flag_restores_ms(self):
-        report = run_demo(3, 1)
-        tree = json.loads(emit(report, "json", timings=True))
-        assert any(rec["ms"] >= 0 for rec in tree["analyses"])
-
     def test_unknown_format(self):
         with pytest.raises(ValueError):
             emit(run_demo(3, 1), "yaml")
