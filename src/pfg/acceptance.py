@@ -355,7 +355,7 @@ def _simple_quotient_witness(seed: int, samples: int) -> tuple[list[str], str]:
 def _regulation_suite(seed: int, samples: int) -> tuple[list[str], str]:
     problems = []
     d4 = dihedral(4)
-    phi = GroupHom(d4.group, d4.group, scale_first_map(d4, 2))
+    phi = GroupHom(d4.group, d4.group, scale_first_map(d4.group, 2, d4.acting_order))
     rec = verify_regulation(d4.group, EndoSemigroup(d4.group, [phi]), None)
     if not rec.passed:
         problems.append("dihedral-8 regulation failed")

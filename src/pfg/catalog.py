@@ -18,6 +18,7 @@ from .construct import (
     cyclic,
     dihedral,
     direct_product,
+    pair_map,
     scale_first_map,
     semidirect,
     unit_semidirect_level,
@@ -44,21 +45,16 @@ class CatalogEntry:
     semidirect: SemidirectProduct | None = None
 
 
-def _scale_endos(G: FiniteGroup, factors) -> list[GroupHom]:
+def _scale_endos(G: FiniteGroup, factors, right_order: int = 1) -> list[GroupHom]:
     out = []
     seen = set()
     for m in factors:
-        arr = scale_first_map(G, m % G.order)
+        arr = scale_first_map(G, m, right_order)
         key = arr.tobytes()
         if key not in seen:
             seen.add(key)
             out.append(GroupHom(G, G, arr))
     return out
-
-
-def _pair_endo(G: FiniteGroup, fa: np.ndarray, fb: np.ndarray, nb: int) -> GroupHom:
-    a, b = np.divmod(np.arange(G.order, dtype=np.int32), nb)
-    return GroupHom(G, G, fa[a] * nb + fb[b])
 
 
 def power_endo(G: FiniteGroup, m: int) -> GroupHom:
@@ -103,19 +99,6 @@ def heisenberg3() -> SemidirectProduct:
     return semidirect(base, cyclic(3), act, "H27")
 
 
-def _semidirect_endos(sd: SemidirectProduct, scales) -> list[GroupHom]:
-    G = sd.group
-    out = []
-    seen = set()
-    for m in scales:
-        arr = scale_first_map(sd, m)
-        key = arr.tobytes()
-        if key not in seen:
-            seen.add(key)
-            out.append(GroupHom(G, G, arr))
-    return out
-
-
 def _entry(group, endos, semigroup_gens=(), sd=None) -> CatalogEntry:
     ident = identity_hom(group)
     base = [ident, trivial_hom(group)]
@@ -149,37 +132,35 @@ def _builtin_entries_cached(max_order: int) -> tuple[CatalogEntry, ...]:
     entries.append(_entry(v4, _scale_endos(v4, (0, 1))))
 
     z4z9 = direct_product(cyclic(4), cyclic(9), "Z4xZ9")
-    f_first = _pair_endo(z4z9, scale_first_map(cyclic(4), 2), np.arange(9, dtype=np.int32), 9)
-    f_second = _pair_endo(z4z9, np.arange(4, dtype=np.int32), scale_first_map(cyclic(9), 3), 9)
-    f_both = _pair_endo(z4z9, scale_first_map(cyclic(4), 2), scale_first_map(cyclic(9), 3), 9)
+    double, triple = scale_first_map(cyclic(4), 2), scale_first_map(cyclic(9), 3)
+    f_first = GroupHom(z4z9, z4z9, pair_map(double, np.arange(9)))
+    f_second = GroupHom(z4z9, z4z9, pair_map(np.arange(4), triple))
+    f_both = GroupHom(z4z9, z4z9, pair_map(double, triple))
     entries.append(_entry(z4z9, [f_first, f_second, f_both], semigroup_gens=[[f_first, f_second]]))
 
     for n in (3, 4, 6):
         sd = dihedral(n)
-        gens = _semidirect_endos(sd, (0, 2, n))
+        gens = _scale_endos(sd.group, (0, 2, n), sd.acting_order)
         entries.append(_entry(sd.group, gens, sd=sd))
 
     q8 = quaternion8()
     entries.append(_entry(q8, [conjugation_hom(q8, 1)]))
 
     a4 = alternating4()
-    entries.append(_entry(a4.group, _semidirect_endos(a4, (0,)) + [conjugation_hom(a4.group, 1)], sd=a4))
+    a4_endos = _scale_endos(a4.group, (0,), a4.acting_order) + [conjugation_hom(a4.group, 1)]
+    entries.append(_entry(a4.group, a4_endos, sd=a4))
 
     h27 = heisenberg3()
-    entries.append(
-        _entry(
-            h27.group,
-            _semidirect_endos(h27, (0,)) + [conjugation_hom(h27.group, 1), conjugation_hom(h27.group, 3)],
-            sd=h27,
-        )
-    )
+    h27_endos = _scale_endos(h27.group, (0,), h27.acting_order)
+    h27_endos += [conjugation_hom(h27.group, 1), conjugation_hom(h27.group, 3)]
+    entries.append(_entry(h27.group, h27_endos, sd=h27))
 
     u9 = units_mod(3, 2)
     entries.append(_entry(u9, [power_endo(u9, m) for m in (0, 2, 3)]))
 
     s3xz4 = direct_product(dihedral(3).group, cyclic(4), "S3xZ4")
-    f_double = _pair_endo(s3xz4, np.arange(6, dtype=np.int32), scale_first_map(cyclic(4), 2), 4)
-    f_kill = _pair_endo(s3xz4, np.arange(6, dtype=np.int32), np.zeros(4, dtype=np.int32), 4)
+    f_double = GroupHom(s3xz4, s3xz4, pair_map(np.arange(6), scale_first_map(cyclic(4), 2)))
+    f_kill = GroupHom(s3xz4, s3xz4, pair_map(np.arange(6), np.zeros(4, dtype=np.int32)))
     entries.append(_entry(s3xz4, [f_double, f_kill], semigroup_gens=[[f_double]]))
 
     for p, kmax in ((2, 3), (3, 3), (5, 2)):
@@ -187,11 +168,11 @@ def _builtin_entries_cached(max_order: int) -> tuple[CatalogEntry, ...]:
             sd = unit_semidirect_level(p, k)
             if sd.group.order > max_order:
                 continue
-            gens = _semidirect_endos(sd, (0, p))
+            gens = _scale_endos(sd.group, (0, p), sd.acting_order)
             u = sd.acting_part.members
             extra_sg = []
             if k >= 2:
-                phi = GroupHom(sd.group, sd.group, scale_first_map(sd, p))
+                phi = GroupHom(sd.group, sd.group, scale_first_map(sd.group, p, sd.acting_order))
                 conj = conjugation_hom(sd.group, int(u[1])) if u.size > 1 else None
                 if conj is not None:
                     extra_sg.append([phi, conj])
@@ -203,7 +184,7 @@ def _builtin_entries_cached(max_order: int) -> tuple[CatalogEntry, ...]:
 def paper_example_level(p: int, k: int) -> tuple[SemidirectProduct, GroupHom]:
     """The running demo level: cyclic(p^k) x| units, scaling the cyclic part by p."""
     sd = unit_semidirect_level(p, k)
-    phi = GroupHom(sd.group, sd.group, scale_first_map(sd, p))
+    phi = GroupHom(sd.group, sd.group, scale_first_map(sd.group, p, sd.acting_order))
     return sd, phi
 
 

@@ -3,6 +3,8 @@
 Product-like groups use pair encoding: the element (a, b) of A x B or of a
 semidirect product N x| H has index a*|B| + b (left coordinate major).
 The identity is (0, 0) = 0, so no relabelling happens for these families.
+``pair_map`` is the one place where a map on pairs is built: every
+coordinatewise endomorphism and connecting map goes through it.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import (
+    MAX_ORDER,
     BadAction,
     FiniteGroup,
     PairTable,
@@ -58,13 +61,22 @@ def units_residues(p: int, k: int) -> list[int]:
 
 def units_mod(p: int, k: int, label: str | None = None, *, order_guard: int | None = None) -> FiniteGroup:
     """Multiplicative group of units modulo p^k."""
-    if not is_prime(p):
+    if p < 2:
         raise ParamOutOfRange(f"units_mod needs a prime, got {p}")
     if k < 1:
         raise ParamOutOfRange(f"units_mod needs k >= 1, got {k}")
+    # the order (p-1)*p^(k-1), one factor at a time: past MAX_ORDER it is
+    # past every guard, so neither a huge p nor a huge k is ever worked on
+    order = p - 1
+    for _ in range(k - 1):
+        if order > MAX_ORDER:
+            break
+        order *= p
+    check_order(order, order_guard)
+    if not is_prime(p):
+        raise ParamOutOfRange(f"units_mod needs a prime, got {p}")
     m = p**k
     res = np.array(units_residues(p, k), dtype=np.int64)
-    check_order(res.size, order_guard)
     pos = np.full(m, -1, dtype=np.int16)
     pos[res] = np.arange(res.size, dtype=np.int16)
     # the int64 products stay below m^2; only positions < |U| reach the table
@@ -209,20 +221,22 @@ def unit_semidirect_level(p: int, k: int, *, order_guard: int | None = None) -> 
     return semidirect(N, H, act, f"Z{p**k}:U{p**k}", order_guard=order_guard)
 
 
-def scale_first_map(sd_or_group, m: int, right_order: int | None = None) -> np.ndarray:
-    """Element map (a, h) -> (m*a, h) on a pair-encoded group; plain m*x on cyclic."""
-    if isinstance(sd_or_group, SemidirectProduct):
-        G = sd_or_group.group
-        nh = sd_or_group.acting_order
-        nn = sd_or_group.normal_order
-    else:
-        G = sd_or_group
-        if right_order is None:
-            return (np.arange(G.order, dtype=np.int64) * m % G.order).astype(np.int32)
-        nh = right_order
-        nn = G.order // nh
-    a, h = np.divmod(np.arange(G.order, dtype=np.int32), nh)
-    return ((a.astype(np.int64) * m) % nn).astype(np.int32) * nh + h
+def pair_map(left: np.ndarray, right: np.ndarray, nb_out: int | None = None) -> np.ndarray:
+    """Element map (a, b) -> (left[a], right[b]) of a group encoded as
+    a*len(right) + b, into the pair encoding whose right factor has order
+    ``nb_out`` (by default len(right))."""
+    nb = right.shape[0] if nb_out is None else nb_out
+    return (left[:, None] * nb + right).ravel()
+
+
+def scale_first_map(G: FiniteGroup, m: int, right_order: int = 1) -> np.ndarray:
+    """Element map (a, b) -> (m*a mod |G|/right_order, b) on G encoded as
+    pairs whose right factor has order ``right_order``; with the default 1
+    it is x -> m*x on a cyclic G."""
+    nn = G.order // right_order
+    # m is reduced first, so (nn-1)^2 < 2^31 bounds every int32 product
+    left = np.arange(nn, dtype=np.int32) * (m % nn) % nn
+    return pair_map(left, np.arange(right_order, dtype=np.int32))
 
 
 def load_table_file(path) -> np.ndarray:

@@ -754,16 +754,6 @@ def subgroup_as_group(G: FiniteGroup, S: Subgroup, label: str | None = None) -> 
     return H, incl
 
 
-def restrict_endo(f: GroupHom, S: Subgroup, S_group: FiniteGroup, incl: GroupHom) -> GroupHom:
-    """Restriction of an endomorphism to an invariant subgroup, as an endo of S_group."""
-    require_endo(f)
-    if not S.bools[f.map[S.members]].all():
-        raise DomainMismatch("subgroup is not invariant under the map")
-    pos = np.full(f.domain.order, -1, dtype=np.int32)
-    pos[S.members] = np.arange(S.size, dtype=np.int32)
-    return GroupHom(S_group, S_group, pos[f.map[incl.map]], validate=False)
-
-
 def conjugation_hom(G: FiniteGroup, g: int) -> GroupHom:
     """The inner automorphism x -> g*x*g^-1."""
     mapping = G.table[G.table[g, :], G.inv[g]]

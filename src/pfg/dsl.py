@@ -745,19 +745,17 @@ def _build_hexpr(expr, target, shape: _GroupShape, stmt: Stmt) -> GroupHom:
     if expr.head == "trivial":
         return GroupHom(G, G, np.zeros(G.order, dtype=np.int32), validate=False)
     (m,) = expr.args
+    nb = 1 if shape.left is None else shape.right.order
     if expr.head == "scale_first":
-        if isinstance(target, SemidirectProduct):
-            arr = construct.scale_first_map(target, m)
-        elif shape.left is not None:
-            arr = construct.scale_first_map(G, m, right_order=shape.right.order)
-        else:
-            arr = construct.scale_first_map(G, m)
+        arr = construct.scale_first_map(G, m, nb)
     else:  # project_away
+        if m not in (0, 1):
+            raise ScenarioError("ParamOutOfRange", f"project_away coordinate must be 0 or 1, got {m}", stmt.line, stmt.column)
         if shape.left is None:
             raise ScenarioError("NotAHomomorphism", "project_away needs a product-like group", stmt.line, stmt.column)
-        nb = shape.right.order
-        a, b = np.divmod(np.arange(G.order, dtype=np.int32), nb)
-        arr = b if m == 0 else a * nb
+        coords = [np.arange(G.order // nb, dtype=np.int32), np.arange(nb, dtype=np.int32)]
+        coords[m] = np.zeros_like(coords[m])
+        arr = construct.pair_map(*coords)
     try:
         return GroupHom(G, G, arr)
     except NotAHomomorphism as exc:

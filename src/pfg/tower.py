@@ -19,6 +19,7 @@ from .construct import (
     cyclic,
     direct_product,
     dihedral,
+    pair_map,
     scale_first_map,
     unit_semidirect_level,
     units_residues,
@@ -28,9 +29,7 @@ from .core import (
     GroupError,
     GroupHom,
     ParamOutOfRange,
-    compose,
     hom_parts,
-    identity_hom,
     image_of_subgroup,
 )
 from .endo import (
@@ -74,15 +73,6 @@ class Tower:
     def depth(self) -> int:
         return len(self.levels)
 
-    def project(self, from_level: int, to_level: int) -> GroupHom:
-        """Composite connecting map between two levels (0-based indices)."""
-        if not 0 <= to_level <= from_level < self.depth:
-            raise ParamOutOfRange("level indices out of range")
-        f = identity_hom(self.levels[from_level])
-        for k in range(from_level - 1, to_level - 1, -1):
-            f = compose(f, self.connecting[k])
-        return f
-
 
 @dataclass(frozen=True)
 class CoherentEndoFamily:
@@ -123,21 +113,17 @@ def _pairwise_product(
 ) -> tuple[Tower, CoherentEndoFamily]:
     if depth > min(t1.depth, t2.depth):
         raise ParamOutOfRange("product depth exceeds a factor tower's depth")
-    levels, connecting, endos = [], [], []
-    for k in range(depth):
-        A, B = t1.levels[k], t2.levels[k]
-        levels.append(direct_product(A, B, order_guard=guard))
-    for k in range(depth - 1):
-        A2, B2 = t1.levels[k + 1], t2.levels[k + 1]
-        nb2, nb1 = B2.order, t2.levels[k].order
-        a, b = np.divmod(np.arange(levels[k + 1].order, dtype=np.int32), nb2)
-        mapping = t1.connecting[k].map[a] * nb1 + t2.connecting[k].map[b]
-        connecting.append(GroupHom(levels[k + 1], levels[k], mapping, validate=False))
-    for k in range(depth):
-        nb = t2.levels[k].order
-        a, b = np.divmod(np.arange(levels[k].order, dtype=np.int32), nb)
-        mapping = f1.endos[k].map[a] * nb + f2.endos[k].map[b]
-        endos.append(GroupHom(levels[k], levels[k], mapping, validate=False))
+    levels = [direct_product(t1.levels[k], t2.levels[k], order_guard=guard) for k in range(depth)]
+    connecting = [
+        GroupHom(
+            levels[k + 1],
+            levels[k],
+            pair_map(t1.connecting[k].map, t2.connecting[k].map, t2.levels[k].order),
+            validate=False,
+        )
+        for k in range(depth - 1)
+    ]
+    endos = [GroupHom(G, G, pair_map(f1.endos[k].map, f2.endos[k].map), validate=False) for k, G in enumerate(levels)]
     tower = Tower(tuple(levels), tuple(connecting), label)
     return tower, CoherentEndoFamily(tower, tuple(endos))
 
@@ -168,13 +154,11 @@ def build_units_semidirect_tower(
         res_small = units_residues(p, k + 1)
         upos = {r: i for i, r in enumerate(res_small)}
         umap = np.array([upos[r % m_small] for r in res_big], dtype=np.int32)
-        nh_big, nh_small = big.acting_order, small.acting_order
-        a, u = np.divmod(np.arange(big.group.order, dtype=np.int32), nh_big)
-        mapping = (a % m_small) * nh_small + umap[u]
+        mapping = pair_map(np.arange(big.normal_order, dtype=np.int32) % m_small, umap, small.acting_order)
         connecting.append(GroupHom(big.group, small.group, mapping, validate=True))
     tower = Tower(tuple(levels), tuple(connecting), f"units_semidirect({p})", parts=tuple(parts))
     endos = tuple(
-        GroupHom(sd.group, sd.group, scale_first_map(sd, p), validate=False) for sd in parts
+        GroupHom(sd.group, sd.group, scale_first_map(sd.group, p, sd.acting_order), validate=False) for sd in parts
     )
     return tower, CoherentEndoFamily(tower, endos)
 
@@ -190,17 +174,16 @@ def build_s3_times_z2_tower(depth: int, *, order_guard: int | None = None) -> tu
         direct_product(s3, cyclic(2**k, order_guard=order_guard), f"S3xZ{2**k}", order_guard=order_guard)
         for k in range(1, depth + 1)
     ]
-    connecting = []
-    for k in range(depth - 1):
-        nb_big, nb_small = 2 ** (k + 2), 2 ** (k + 1)
-        s, x = np.divmod(np.arange(levels[k + 1].order, dtype=np.int32), nb_big)
-        mapping = s * nb_small + (x % nb_small)
-        connecting.append(GroupHom(levels[k + 1], levels[k], mapping, validate=False))
-    endos = []
-    for k, G in enumerate(levels):
-        nb = 2 ** (k + 1)
-        s, x = np.divmod(np.arange(G.order, dtype=np.int32), nb)
-        endos.append(GroupHom(G, G, (2 * x) % nb, validate=False))
+    # (s, x) -> (s, x mod 2^k) down the tower, (s, x) -> (1, 2x) at each level
+    x = [np.arange(2**k, dtype=np.int32) for k in range(1, depth + 1)]
+    connecting = [
+        GroupHom(levels[k + 1], levels[k], pair_map(np.arange(6), x[k + 1] % x[k].size, x[k].size), validate=False)
+        for k in range(depth - 1)
+    ]
+    endos = [
+        GroupHom(G, G, pair_map(np.zeros(6, dtype=np.int32), 2 * x[k] % x[k].size), validate=False)
+        for k, G in enumerate(levels)
+    ]
     tower = Tower(tuple(levels), tuple(connecting), "s3_times_z2")
     return tower, CoherentEndoFamily(tower, tuple(endos))
 
@@ -250,26 +233,18 @@ def limit_diagnostics(T: Tower, F: CoherentEndoFamily) -> LimitDiagnostics:
     cleared.  Image openness is the stabilization of the image indices.
     """
     d = T.depth
-    deep_kernel = hom_parts(F.endos[d - 1]).kernel
-    projected: list = []
-    for k in range(d):
-        if k == d - 1:
-            projected.append(deep_kernel)
-        else:
-            projected.append(image_of_subgroup(T.project(d - 1, k), deep_kernel))
-    shrink: list[int | None] = []
-    for k in range(d):
-        found = None
-        for K in range(k, d):
-            ker = hom_parts(F.endos[K]).kernel
-            if K == k:
-                proj = ker
-            else:
-                proj = image_of_subgroup(T.project(K, k), ker)
-            if proj.is_trivial:
-                found = K + 1  # 1-based level at which triviality is reached
-                break
-        shrink.append(found)
+    parts = [hom_parts(f) for f in F.endos]
+    shrink: list[int | None] = [None] * d
+    for K in range(d):
+        # projected[k]: the kernel at level K mapped down to level k <= K; the
+        # last pass leaves the deepest kernel's projections
+        projected = [parts[K].kernel]
+        for pi in reversed(T.connecting[:K]):
+            projected.append(image_of_subgroup(pi, projected[-1]))
+        projected.reverse()
+        for k, proj in enumerate(projected):
+            if shrink[k] is None and proj.is_trivial:
+                shrink[k] = K + 1  # 1-based level at which triviality is reached
     verified = 0
     for k in range(d - 1):
         if shrink[k] is None:
@@ -285,7 +260,7 @@ def limit_diagnostics(T: Tower, F: CoherentEndoFamily) -> LimitDiagnostics:
                 witness = (k + 1, int(nontrivial[0]))
             break
 
-    indices = tuple(G.order // hom_parts(f).image.size for G, f in zip(T.levels, F.endos))
+    indices = tuple(G.order // hp.image.size for G, hp in zip(T.levels, parts))
     image_open = d == 1 or indices[-1] == indices[-2]
     return LimitDiagnostics(
         limit_injective=bool(injective),

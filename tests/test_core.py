@@ -520,6 +520,22 @@ class TestCatalogConstruct:
         with pytest.raises(ParamOutOfRange):
             units_mod(4, 1)
 
+    def test_units_mod_guard_comes_before_primality_and_residues(self, monkeypatch):
+        import pfg.construct as construct
+
+        def unreachable(*args):
+            raise AssertionError("reached before the order guard")
+
+        monkeypatch.setattr(construct, "is_prime", unreachable)
+        monkeypatch.setattr(construct, "units_residues", unreachable)
+        # orders 2*3^19 and 10^21 + 116: neither a residue list nor a trial division
+        for p, k in ((3, 20), (1000000000000000000117, 1)):
+            with pytest.raises(OrderGuardExceeded):
+                units_mod(p, k)
+        for p, k in ((1, 2), (0, 1), (2, 0)):
+            with pytest.raises(ParamOutOfRange):
+                units_mod(p, k)
+
 
 class TestProvenConstruction:
     def test_constructors_skip_the_associativity_scan(self, monkeypatch):
@@ -698,7 +714,7 @@ class TestHoms:
     def test_hom_witness_really_fails(self):
         sd = unit_semidirect_level(3, 2)
         G = sd.group
-        good = scale_first_map(sd, 3)
+        good = scale_first_map(G, 3, sd.acting_order)
         GroupHom(G, G, good)
         rng = np.random.default_rng(7)
         for bad in (good[rng.permutation(G.order)], np.where(np.arange(G.order) == 17, good[18], good)):
@@ -784,3 +800,111 @@ class TestCatalogConstructDispatch:
     def test_direct_product(self):
         G = direct_product(cyclic(2), cyclic(3))
         assert G.order == 6 and G.is_abelian()
+
+
+def _digit_ref(order, bases_in, bases_out, digit_maps):
+    """Plain reference for a coordinatewise map: x read as digits in the mixed
+    radix ``bases_in`` (most significant first) by divmod, each digit sent
+    through its map, and the images read back in the radix ``bases_out``."""
+    out = []
+    for x in range(order):
+        digits = []
+        for base in reversed(bases_in):
+            x, d = divmod(x, base)
+            digits.append(d)
+        y = 0
+        for base, fn, d in zip(bases_out, digit_maps, reversed(digits)):
+            y = y * base + fn(d)
+        out.append(y)
+    return out
+
+
+def _units(p, k):
+    return [r for r in range(1, p**k) if r % p]
+
+
+# kind: (build_tower arguments, radix of level k, digit maps of the
+# endomorphism at level k, digit maps of the connecting map from k + 1 to k)
+_TOWER_CASES = {
+    "zpn(2,3)": (
+        ("zpn", (2, 3)),
+        lambda k: (2**k,) * 3,
+        lambda k: (lambda d: 2 * d % 2**k,) * 3,
+        lambda k: (lambda d: d % 2**k,) * 3,
+    ),
+    "units_semidirect(3)": (
+        ("units_semidirect", (3,)),
+        lambda k: (3**k, len(_units(3, k))),
+        lambda k: (lambda a: 3 * a % 3**k, lambda u: u),
+        lambda k: (lambda a: a % 3**k, lambda u: _units(3, k).index(_units(3, k + 1)[u] % 3**k)),
+    ),
+    "s3_times_z2()": (
+        ("s3_times_z2", ()),
+        lambda k: (6, 2**k),
+        lambda k: (lambda s: 0, lambda x: 2 * x % 2**k),
+        lambda k: (lambda s: s, lambda x: x % 2**k),
+    ),
+    "product(zp(2),zp(3))": (
+        ("product", None),
+        lambda k: (2**k, 3**k),
+        lambda k: (lambda a: 2 * a % 2**k, lambda b: 3 * b % 3**k),
+        lambda k: (lambda a: a % 2**k, lambda b: b % 3**k),
+    ),
+}
+
+
+class TestPairMapReference:
+    """Every map built on pair-encoded elements against a divmod loop."""
+
+    def test_catalog_pair_endos(self):
+        from pfg.catalog import builtin_entries
+
+        entries = {e.group.label: e for e in builtin_entries(500)}
+        double, triple, keep, kill = (lambda a: 2 * a % 4), (lambda b: 3 * b % 9), (lambda x: x), (lambda x: 0)
+        shipped = {
+            "Z4xZ9": (9, [(double, keep), (keep, triple), (double, triple)]),
+            "S3xZ4": (4, [(keep, double), (keep, kill)]),
+        }
+        for label, (nb, maps) in shipped.items():
+            G, endos = entries[label].group, [f.map.tolist() for f in entries[label].endos]
+            for left, right in maps:
+                assert _digit_ref(G.order, (G.order // nb, nb), (G.order // nb, nb), (left, right)) in endos, label
+
+        scales = {"A4": (0,), "H27": (0,)}
+        scales.update({f"D{2 * n}": (0, 2, n) for n in (3, 4, 6)})
+        scales.update({f"Z{p**k}:U{p**k}": (0, p) for p, kmax in ((2, 3), (3, 3), (5, 2)) for k in range(1, kmax + 1)})
+        semidirect = [e for e in entries.values() if e.semidirect is not None]
+        assert len(semidirect) == 13
+        for e in semidirect:
+            nn, nh = e.semidirect.normal_order, e.semidirect.acting_order
+            endos = [f.map.tolist() for f in e.endos]
+            for m in scales[e.group.label]:
+                assert _digit_ref(nn * nh, (nn, nh), (nn, nh), (lambda a: m * a % nn, lambda h: h)) in endos
+
+    def test_scale_first_map_on_catalog_semidirect_groups(self):
+        from pfg.catalog import builtin_entries
+
+        for e in builtin_entries(500):
+            if e.semidirect is None:
+                continue
+            nn, nh = e.semidirect.normal_order, e.semidirect.acting_order
+            for m in [*range(-1, nn + 2), 10**20, 2**62 + 1]:
+                want = _digit_ref(nn * nh, (nn, nh), (nn, nh), (lambda a: m * a % nn, lambda h: h))
+                assert scale_first_map(e.group, m, nh).tolist() == want, (e.group.label, m)
+
+    @pytest.mark.parametrize("case", sorted(_TOWER_CASES))
+    def test_tower_maps_at_depth_3(self, case):
+        from pfg.tower import build_tower
+
+        (kind, params), radix, endo_digits, down_digits = _TOWER_CASES[case]
+        if params is None:
+            params = (build_tower("zp", (2,), 3), build_tower("zp", (3,), 3))
+        T, F = build_tower(kind, params, 3)
+        for k in range(1, 4):
+            order = T.levels[k - 1].order
+            assert F.endos[k - 1].map.tolist() == _digit_ref(order, radix(k), radix(k), endo_digits(k)), k
+        for k in range(1, 3):
+            # the right factor's order changes from level k + 1 to level k
+            order = T.levels[k].order
+            want = _digit_ref(order, radix(k + 1), radix(k), down_digits(k))
+            assert T.connecting[k - 1].map.tolist() == want, k

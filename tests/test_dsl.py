@@ -227,15 +227,17 @@ class TestConstructionErrorsLocated:
             ("group G = semidirect(cyclic(4), cyclic(3), invert)", "BadAction"),
             ('group G = table("missing.txt")', "FileNotFoundError"),
             ('group G = table("ragged.txt")', "ParamOutOfRange"),
+            ("endo p on P = project_away(7)", "ParamOutOfRange"),
+            ("endo p on P = project_away(-3)", "ParamOutOfRange"),
         ],
     )
     def test_error_is_located_and_run_exits_2(self, definition, kind, tmp_path):
         (tmp_path / "ragged.txt").write_text("1 2\n3\n")
-        source = f"group A = cyclic(2)\n  {definition}\n"
+        source = f"group A = cyclic(4)\ngroup B = cyclic(9)\ngroup P = product(A, B)\n  {definition}\n"
         with pytest.raises(ScenarioError) as exc:
             validate(parse(source).spec, base_dir=tmp_path)
         assert exc.value.kind == kind
-        assert (exc.value.line, exc.value.column) == (2, 3)
+        assert (exc.value.line, exc.value.column) == (4, 3)
         path = tmp_path / "bad.pfg"
         path.write_text(source)
         from pfg.cli import main
@@ -475,6 +477,27 @@ class TestBuiltinEndos:
         )
         resolved = validate(parse(source).spec)
         assert resolved.environment["p"][0].map.tolist()[:2] == [0, 1]
+
+
+class TestScaleFirstLargeFactor:
+    """scale_first(m) reads m modulo the left factor's order, however large m is."""
+
+    @pytest.mark.parametrize(
+        "group, m, con_order",
+        [
+            ("cyclic(4)", 10**20, 4),  # m = 0 mod 4: the trivial map
+            ("semidirect(cyclic(9), units_mod(3, 2), mult_action)", 10**20, 1),  # m = 1 mod 9
+            ("cyclic(9)", 2**62 + 1, 1),  # m = 5 mod 9: an automorphism
+        ],
+    )
+    def test_run_passes_with_closed_form_con_order(self, group, m, con_order, tmp_path, capsys):
+        from pfg.cli import main
+
+        path = tmp_path / "big.pfg"
+        path.write_text(f"group G = {group}\nendo f on G = scale_first({m})\nanalyze theorem_a(G, f)\n")
+        assert main(["run", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert re.search(rf"theorem_a\s+G, f\s+PASS\s+\S+\s+con_order={con_order};", out), out
 
 
 class TestFewprimesThroughRunner:

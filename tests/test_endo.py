@@ -122,7 +122,7 @@ class TestTheoremA:
 
     def test_dihedral8_scaled(self):
         sd = dihedral(4)
-        phi = GroupHom(sd.group, sd.group, scale_first_map(sd, 2))
+        phi = GroupHom(sd.group, sd.group, scale_first_map(sd.group, 2, sd.acting_order))
         rec = verify_theorem_a(sd.group, phi)
         assert rec.passed
         assert rec.data["con_order"] == 4 and rec.data["stable_order"] == 2
@@ -209,7 +209,7 @@ class TestRegulation:
 
     def test_dihedral8(self):
         sd = dihedral(4)
-        phi = GroupHom(sd.group, sd.group, scale_first_map(sd, 2))
+        phi = GroupHom(sd.group, sd.group, scale_first_map(sd.group, 2, sd.acting_order))
         rec = verify_regulation(sd.group, EndoSemigroup(sd.group, [phi]), None)
         assert rec.passed
         # the index-2 residual is the center and it is invariant under phi
@@ -241,7 +241,7 @@ class TestTfrelstab2:
         from pfg.construct import semidirect, trivial_action
 
         sd = semidirect(cyclic(5), cyclic(1), trivial_action)
-        phi = GroupHom(sd.group, sd.group, scale_first_map(sd, 0))
+        phi = GroupHom(sd.group, sd.group, scale_first_map(sd.group, 0, sd.acting_order))
         rec = tfrelstab_ii_check(sd, EndoSemigroup(sd.group, [phi]), None)
         assert rec.passed
         assert rec.data["conjugation_map_count"] == 1  # only the identity
