@@ -27,14 +27,38 @@ from .core import (
 )
 
 
+# Miller-Rabin with the primes up to 41 as bases decides every p below this
+# bound exactly (Sorenson and Webster, Strong pseudoprimes to twelve prime
+# bases, Math. Comp. 86, 2017)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_TEST_BOUND = 3317044064679887385961981
+
+
+def check_prime_range(p: int) -> None:
+    if p >= PRIME_TEST_BOUND:
+        raise ParamOutOfRange(f"primality of {p} is decided only below {PRIME_TEST_BOUND}")
+
+
 def is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin, for p below ``PRIME_TEST_BOUND``."""
+    check_prime_range(p)
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    if p in _MR_BASES:
+        return True
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 

@@ -716,12 +716,15 @@ def quotient(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, GroupHom]:
 
     Cosets x*N are labelled in one walk over x = 0..n-1: the first
     unlabelled x is the least element of its coset and gets the next label,
-    so labels follow the order of the least representatives.  Each coset is
-    the row gather ``table[x, members]`` of |N| entries, never a whole
-    row, so the walk costs n cheap steps plus n entries in all; the worst
-    case is a tiny N: for a trivial N at order 4374 the walk takes about
-    11 ms, where the n x |N| coset matrix took under 1 ms.  The quotient's
-    table is dense, as it gathers |G/N|^2 entries of G's.
+    so labels follow the order of the least representatives.  The walk
+    reads x in blocks of 256 and steps only through the ones still
+    unlabelled at the start of the block, re-checking each, as an earlier
+    coset of the block may have covered it.  Each coset is the row gather
+    ``table[x, members]`` of |N| entries, never a whole row, so the walk
+    costs |G/N| steps plus n entries in all; the worst case is a tiny N:
+    for a trivial N at order 4374 (a factored table) the walk alone takes
+    about 35 ms, where the n x |N| coset matrix took under 1 ms.  The
+    quotient's table is dense, as it gathers |G/N|^2 entries of G's.
     """
     if N.parent is not G:
         raise DifferentParents("subgroup does not live in the given group")
@@ -730,10 +733,11 @@ def quotient(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, GroupHom]:
     table, members = G.table, N.members
     label = np.full(G.order, -1, dtype=np.int16)  # labels < |G/N|
     reps: list[int] = []
-    for x in range(G.order):
-        if label[x] < 0:
-            label[table[x, members]] = len(reps)
-            reps.append(x)
+    for lo in range(0, G.order, 256):
+        for x in (np.flatnonzero(label[lo : lo + 256] < 0) + lo).tolist():
+            if label[x] < 0:
+                label[table[x, members]] = len(reps)
+                reps.append(x)
     r = np.asarray(reps)
     qtable = label[table[r[:, None], r]]
     qtable.setflags(write=False)

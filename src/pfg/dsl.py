@@ -44,6 +44,7 @@ import numpy as np
 from . import construct
 from .construct import (
     SemidirectProduct,
+    check_prime_range,
     inversion_action,
     multiplication_action,
     trivial_action,
@@ -56,6 +57,7 @@ from .core import (
     MAX_ORDER,
     NotAHomomorphism,
     OrderGuardExceeded,
+    ParamOutOfRange,
     closure,
     build_from_table,
     extend_images,
@@ -818,6 +820,11 @@ def _fit(signature: tuple[str, ...], values: list, an: Analyze) -> tuple | None:
         elif want == "primes":
             if got != "set" or not all(isinstance(x, int) for x in obj):
                 return None
+            try:
+                for p in obj:
+                    check_prime_range(p)
+            except ParamOutOfRange as exc:
+                raise ScenarioError("ParamOutOfRange", str(exc), an.line, an.column)
             value = set(obj)
         elif want == "subgroup":
             if got != "list":

@@ -1,18 +1,24 @@
 """Subgroup and normal-subgroup enumeration, residual intersections, O^pi.
 
-Two enumeration routes are used.  Small groups (or unbounded index) go
-through zuppo adjunction along canonical chains over the whole lattice.
-For a large group with a small index bound n the complete answer is
-assembled from the normal lattice instead: every subgroup of index at
-most n contains its own core, a normal subgroup of index dividing n!, so
-pulling back the low-index subgroups of the quotients G/N over all
-normal N of index <= n! finds every candidate exactly once.
+Subgroups of index at most n are counted in the verbal quotient G/V, V
+generated by the L-th powers, L = lcm(1..n) (Lubotzky-Segal, Subgroup
+Growth, 1.1): G acts on the k <= n cosets of such a subgroup H through
+S_k, whose exponent divides L, so every x^L lies in the kernel and hence
+in H.  The subgroups of G/V pull back to exactly those of G containing V,
+with the same index.  Two routes then enumerate G/V.  Small groups (or
+unbounded index) go through zuppo adjunction along canonical chains over
+the whole lattice.  For a large group with a small index bound n the
+complete answer is assembled from the normal lattice instead: every
+subgroup of index at most n contains its own core, a normal subgroup of
+index dividing n!, so pulling back the low-index subgroups of the
+quotients G/N over all normal N of index <= n! finds every candidate
+exactly once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial, gcd
+from math import factorial
 
 import numpy as np
 
@@ -152,10 +158,15 @@ def _adjunction_enumeration(G: FiniteGroup, budget: _Budget) -> tuple[list[tuple
 
 
 def _low_index_via_cores(G: FiniteGroup, n: int, budget: _Budget) -> tuple[list[np.ndarray], bool]:
+    # G has exponent dividing lcm(1..n) here (``_verbal_quotient`` found
+    # nothing or already divided it out), so the normals of index <= n!
+    # need no verbal step of their own
     cap = factorial(n)
     complete = True
     masks: dict[bytes, np.ndarray] = {}
-    for N in normals_up_to_index(G, cap):
+    for N in enumerate_normals(G):
+        if N.index > cap:
+            continue
         Q, proj = quotient(G, N)
         subs, ok = _adjunction_enumeration(Q, budget)
         complete = complete and ok
@@ -167,17 +178,54 @@ def _low_index_via_cores(G: FiniteGroup, n: int, budget: _Budget) -> tuple[list[
     return list(masks.values()), complete
 
 
+def _verbal_exponent(order: int, cap: int) -> int:
+    """gcd(lcm(1..cap), order), without forming the lcm: the largest power
+    of each prime p of ``order`` that divides it and is at most ``cap``."""
+    d = 1
+    for p in prime_factors(order):
+        q = 1
+        while order % (q * p) == 0 and q * p <= cap:
+            q *= p
+        d *= q
+    return d
+
+
+def _verbal_quotient(G: FiniteGroup, cap: int) -> tuple[FiniteGroup, GroupHom] | None:
+    """G/V for V = <x^L : x in G>, L = lcm(1..cap), or None when V is trivial.
+
+    V lies in every subgroup of index <= cap (module docstring), and so in
+    every normal one.  Each x has order dividing |G|, so <x^L> = <x^d> for
+    d = gcd(L, |G|): the powers are taken with an exponent d <= |G|, and d
+    = |G| (every x^L is 1) answers at once.
+    """
+    d = _verbal_exponent(G.order, cap)
+    if d == G.order:
+        return None
+    verbal = _orbit_closure(G.table, np.unique(power_map(G.table, np.arange(G.order, dtype=np.int32), d)))
+    if int(verbal.sum()) == 1:
+        return None
+    return quotient(G, Subgroup(G, verbal, _checked=True))
+
+
 def enumerate_subgroups(G: FiniteGroup, n: int, *, node_budget: int = DEFAULT_NODE_BUDGET) -> SubgroupCatalog:
-    """Complete catalog of subgroups of index <= n (honest ``complete`` flag)."""
+    """Complete catalog of subgroups of index <= n (honest ``complete`` flag).
+
+    The routes run on the verbal quotient G/V (module docstring), and each
+    subgroup found there is pulled back to G through the projection.
+    """
     if n < 1:
         raise ParamOutOfRange("index bound must be >= 1")
     n_eff = min(n, G.order)
     budget = _Budget(node_budget)
-    if G.order <= _ADJUNCTION_ORDER_LIMIT or factorial(n_eff) >= G.order:
-        subs, complete = _adjunction_enumeration(G, budget)
-        bools_list = [b for b, _ in subs if G.order // int(b.sum()) <= n_eff]
+    reduced = _verbal_quotient(G, n_eff)
+    Q = G if reduced is None else reduced[0]
+    if Q.order <= _ADJUNCTION_ORDER_LIMIT or factorial(n_eff) >= Q.order:
+        subs, complete = _adjunction_enumeration(Q, budget)
+        bools_list = [b for b, _ in subs if Q.order // int(b.sum()) <= n_eff]
     else:
-        bools_list, complete = _low_index_via_cores(G, n_eff, budget)
+        bools_list, complete = _low_index_via_cores(Q, n_eff, budget)
+    if reduced is not None:
+        bools_list = [b[reduced[1].map] for b in bools_list]
     entries = sorted(
         (Subgroup(G, b, _checked=True) for b in bools_list),
         key=lambda s: (s.index, s.members.tobytes()),
@@ -240,32 +288,17 @@ def _normal_lattice(G: FiniteGroup) -> tuple[Subgroup, ...]:
     return tuple(sorted(subs, key=lambda s: (s.size, s.members.tobytes())))
 
 
-def _lcm_up_to(cap: int) -> int:
-    out = 1
-    for k in range(2, cap + 1):
-        out = out * k // gcd(out, k)
-    return out
-
-
 def normals_up_to_index(G: FiniteGroup, cap: int) -> list[Subgroup]:
-    """Normal subgroups of index <= cap.
-
-    A quotient of order at most cap has exponent dividing L = lcm(1..cap),
-    so every qualifying subgroup contains the normal subgroup generated by
-    the L-th powers; the search happens in that (much smaller) quotient.
-    """
+    """Normal subgroups of index <= cap, found in the verbal quotient by the
+    L-th powers, L = lcm(1..cap): a quotient of order at most cap has
+    exponent dividing L."""
     if cap < 1:
         raise ParamOutOfRange("index bound must be >= 1")
-    if cap >= G.order:
-        return enumerate_normals(G)
-    verbal = _orbit_closure(G.table, np.unique(power_map(G.table, np.arange(G.order, dtype=np.int32), _lcm_up_to(cap))))
-    if int(verbal.sum()) == 1:
+    reduced = _verbal_quotient(G, cap)
+    if reduced is None:
         return [N for N in enumerate_normals(G) if N.index <= cap]
-    Q, proj = quotient(G, Subgroup(G, verbal, _checked=True))
-    out = []
-    for N in normals_up_to_index(Q, cap):
-        if N.index <= cap:
-            out.append(preimage(proj, N))
+    Q, proj = reduced
+    out = [preimage(proj, N) for N in enumerate_normals(Q) if N.index <= cap]
     out.sort(key=lambda s: (s.size, s.members.tobytes()))
     return out
 
@@ -292,7 +325,11 @@ def o_pi(G: FiniteGroup, primes) -> Subgroup:
     for p in pset:
         if not is_prime(p):
             raise ParamOutOfRange(f"{p} is not a prime")
-    coprime = np.all([G.element_orders() % p != 0 for p in pset], axis=0)
+    orders = G.element_orders()
+    coprime = np.ones(G.order, dtype=bool)
+    for p in pset:
+        if G.order % p == 0:  # a prime not dividing |G| divides no element order
+            coprime &= orders % p != 0
     return Subgroup(G, _orbit_closure(G.table, np.flatnonzero(coprime)), _checked=True)
 
 

@@ -11,6 +11,7 @@ from pfg.construct import (
     dihedral,
     direct_product,
     inversion_action,
+    is_prime,
     scale_first_map,
     semidirect,
     unit_semidirect_level,
@@ -535,6 +536,34 @@ class TestCatalogConstruct:
         for p, k in ((1, 2), (0, 1), (2, 0)):
             with pytest.raises(ParamOutOfRange):
                 units_mod(p, k)
+
+
+def _is_prime_by_trial_division(p: int) -> bool:
+    """Oracle: the trial division that ``is_prime`` replaced."""
+    if p < 2:
+        return False
+    d = 2
+    while d * d <= p:
+        if p % d == 0:
+            return False
+        d += 1
+    return True
+
+
+class TestIsPrime:
+    def test_matches_trial_division_below_1e5(self):
+        for p in range(-3, 10**5):
+            assert is_prime(p) == _is_prime_by_trial_division(p), p
+
+    def test_large_values_and_the_bound(self):
+        # Mersenne primes, a Carmichael number, a product of two primes near
+        # 1e11, and the least strong pseudoprime to the bases 2..37
+        assert is_prime(2**61 - 1) and is_prime(2**31 - 1)
+        assert not is_prime(561) and not is_prime(100000000003 * 100000000019)
+        assert not is_prime(318665857834031151167461)
+        assert is_prime(1000000000000000000117)
+        with pytest.raises(ParamOutOfRange, match="3317044064679887385961981"):
+            is_prime(3317044064679887385961981)
 
 
 class TestProvenConstruction:

@@ -321,6 +321,34 @@ class TestOrderLimit:
         assert main(["run", str(path), "--order-guard", "32767"]) == 0
 
 
+    def test_huge_prime_in_o_pi_runs_at_once(self, tmp_path, capsys):
+        import signal
+
+        from pfg.cli import main
+
+        def give_up(signum, frame):
+            raise TimeoutError("pfg run did not end")
+
+        path = tmp_path / "huge_prime.pfg"
+        path.write_text("group G = cyclic(4)\nanalyze o_pi(G, {1000000000000000000117})\n")
+        previous = signal.signal(signal.SIGALRM, give_up)
+        signal.alarm(10)
+        try:
+            assert main(["run", str(path)]) == 0
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert "PASS" in capsys.readouterr().out
+
+    def test_prime_past_the_exact_test_bound_is_located(self, tmp_path, capsys):
+        from pfg.cli import main
+
+        path = tmp_path / "past_bound.pfg"
+        path.write_text("group G = cyclic(4)\nanalyze o_pi(G, {2, 10000000000000000000000000})\n")
+        assert main(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ParamOutOfRange: ") and "below 3317044064679887385961981 (line 2, column 1)" in err
+
     @pytest.mark.parametrize("value", [-5, 0])
     def test_order_guard_below_one_is_located(self, value, tmp_path, capsys):
         from pfg.cli import main

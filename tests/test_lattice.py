@@ -1,22 +1,31 @@
 """Subgroup enumeration, normal lattices, residual intersections, O^pi."""
 
+import signal
+from math import factorial, gcd
+
+import numpy as np
 import pytest
 
+from pfg.catalog import builtin_entries, paper_example_level
 from pfg.construct import cyclic, dihedral, direct_product, unit_semidirect_level
-from pfg.core import ParamOutOfRange, Subgroup, closure
+from pfg.core import ParamOutOfRange, Subgroup, closure, quotient
 from pfg.lattice import (
     AutoSet,
     all_subgroups,
     count_profile,
     enumerate_normals,
     enumerate_subgroups,
+    normals_up_to_index,
     o_pi,
     o_pi_of_subgroup,
     prime_factors,
     residual_intersection,
+    _ADJUNCTION_ORDER_LIMIT,
     _adjunction_enumeration,
     _Budget,
+    _verbal_exponent,
 )
+from pfg.tower import build_tower, typef_profile
 
 
 def s3():
@@ -93,6 +102,111 @@ class TestEnumerateSubgroups:
                 assert all(s.index <= cat.max_index for s in cat.entries)
                 keys = [s.bools.tobytes() for s in cat.entries]
                 assert len(keys) == len(set(keys))  # no duplicates
+
+
+def _unreduced_subgroups(G, n):
+    """Oracle: the route choice on G itself, with no verbal quotient in
+    front, as ``enumerate_subgroups`` made it before; the cores route reads
+    the whole normal lattice.  Returns the masks in catalog order and the
+    ``complete`` flag."""
+    n_eff = min(n, G.order)
+    budget = _Budget(10**6)
+    if G.order <= _ADJUNCTION_ORDER_LIMIT or factorial(n_eff) >= G.order:
+        subs, complete = _adjunction_enumeration(G, budget)
+        masks = [b for b, _ in subs if G.order // int(b.sum()) <= n_eff]
+    else:
+        found, complete = {}, True
+        for N in enumerate_normals(G):
+            if N.index > factorial(n_eff):
+                continue
+            Q, proj = quotient(G, N)
+            subs, ok = _adjunction_enumeration(Q, budget)
+            complete = complete and ok
+            for b, _ in subs:
+                if Q.order // int(b.sum()) <= n_eff:
+                    pulled = b[proj.map]
+                    found.setdefault(pulled.tobytes(), pulled)
+        masks = list(found.values())
+    masks.sort(key=lambda b: (G.order // int(b.sum()), np.flatnonzero(b).astype(np.int32).tobytes()))
+    return [b.tobytes() for b in masks], complete
+
+
+def _lcm_up_to(cap: int) -> int:
+    """Oracle: lcm(1..cap) by a running lcm."""
+    out = 1
+    for k in range(2, cap + 1):
+        out = out * k // gcd(out, k)
+    return out
+
+
+def _oracle_groups():
+    groups = [e.group for e in builtin_entries(500)]
+    towers = [("zp", (2,)), ("zp", (3,)), ("zpn", (2, 2)), ("units_semidirect", (2,))]
+    towers += [("units_semidirect", (3,)), ("s3_times_z2", ())]
+    towers.append(("product", (build_tower("zp", (2,), 3), build_tower("zp", (3,), 3))))
+    groups += [G for kind, params in towers for G in build_tower(kind, params, 3)[0].levels]
+    groups += [paper_example_level(2, 6)[0].group, paper_example_level(7, 2)[0].group]
+    return groups
+
+
+class TestVerbalReduction:
+    """Subgroups of index <= n are counted in G/<x^L>, L = lcm(1..n)."""
+
+    def test_matches_unreduced_oracle_mask_for_mask(self):
+        for G in _oracle_groups():
+            for n in range(1, 5):
+                cat = enumerate_subgroups(G, n)
+                want, complete = _unreduced_subgroups(G, n)
+                assert cat.complete and complete, (G, n)
+                assert [s.bools.tobytes() for s in cat.entries] == want, (G, n)
+
+    @pytest.mark.parametrize("p, k", [(2, 1), (2, 5), (3, 3), (5, 2), (7, 2)])
+    def test_cyclic_p_power_has_one_subgroup_of_each_index(self, p, k):
+        G = cyclic(p**k)
+        for n in (1, 2, 3, 4, p, p**k):
+            want = {p**j: 1 for j in range(k + 1) if p**j <= n}
+            assert count_profile(G, n).counts == want, (p, k, n)
+
+    @pytest.mark.parametrize("p, k", [(2, 1), (2, 2), (3, 2), (5, 1), (5, 2)])
+    def test_square_of_cyclic_p_power_has_p_plus_one_of_index_p(self, p, k):
+        G = direct_product(cyclic(p**k), cyclic(p**k))
+        assert count_profile(G, p).counts == {1: 1, p: p + 1}
+
+    def test_s3_needs_the_lcm_not_the_bound(self):
+        # with L = 3 in place of lcm(1, 2, 3) = 6, <x^3> would be all of S3
+        # and the S3 profile tests would find one subgroup
+        assert _verbal_exponent(6, 3) == 6
+
+    def test_exponent_is_gcd_of_lcm_and_order(self):
+        lcm = 1
+        for cap in range(1, 201):
+            lcm = _lcm_up_to(cap) if cap < 3 else lcm * cap // gcd(lcm, cap)
+            for order in range(1, 201):
+                assert _verbal_exponent(order, cap) == gcd(lcm, order), (order, cap)
+
+    def test_every_power_exponent_is_below_the_order(self, monkeypatch):
+        import pfg.lattice as lattice
+
+        seen = []
+        real = lattice.power_map
+        monkeypatch.setattr(lattice, "power_map", lambda t, xs, e: seen.append((e, t.shape[0])) or real(t, xs, e))
+        big = [unit_semidirect_level(3, 4).group, paper_example_level(2, 6)[0].group, paper_example_level(7, 2)[0].group]
+        for G in big:
+            for n in range(1, 7):
+                count_profile(G, n)
+            normals_up_to_index(G, 720)
+        assert seen and all(e < order for e, order in seen), max(seen)
+
+    def test_typef_on_the_paper_tower_enumerates_only_index_two_quotients(self, monkeypatch):
+        import pfg.lattice as lattice
+
+        orders = []
+        real = lattice._adjunction_enumeration
+        monkeypatch.setattr(lattice, "_adjunction_enumeration", lambda G, budget: orders.append(G.order) or real(G, budget))
+        T, _ = build_tower("units_semidirect", (3,), 4)
+        profile = typef_profile(T, 2)
+        assert [p.counts for p in profile.per_level] == [{1: 1, 2: 1}] * 4
+        assert orders and max(orders) <= 2, orders
 
 
 class TestEnumerateNormals:
@@ -212,6 +326,23 @@ class TestOPi:
             o_pi(s3(), set())
         with pytest.raises(ParamOutOfRange):
             o_pi(s3(), {4})
+        with pytest.raises(ParamOutOfRange, match="decided only below 3317044064679887385961981"):
+            o_pi(s3(), {2, 10**25})
+
+    def test_huge_prime_ends_at_once(self):
+        # trial division of this 22-digit prime did not end in minutes
+        def give_up(signum, frame):
+            raise TimeoutError("o_pi did not end")
+
+        previous = signal.signal(signal.SIGALRM, give_up)
+        signal.alarm(10)
+        try:
+            assert o_pi(cyclic(4), {1000000000000000000117}).is_whole
+            G = s3()
+            assert o_pi(G, {2, 1000000000000000000117}) == closure(G, [2])
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
 
     def test_subgroup_matches_parent_for_core_primes(self):
         from pfg.core import normality_ops
