@@ -73,8 +73,8 @@ def cyclic(n: int, label: str | None = None, *, order_guard: int | None = None) 
     ext = np.concatenate([idx, idx[:-1]])
     table = np.lib.stride_tricks.as_strided(ext, (n, n), ext.strides * 2).copy()
     table.setflags(write=False)
-    # addition of residues mod n is a group with identity 0
-    return FiniteGroup(table, label or f"Z{n}", validate=False, order_guard=order_guard)
+    # addition of residues mod n is a group with identity 0 and inverse -x
+    return FiniteGroup(table, label or f"Z{n}", validate=False, inv=-idx % n, order_guard=order_guard)
 
 
 def units_residues(p: int, k: int) -> list[int]:
@@ -100,14 +100,16 @@ def units_mod(p: int, k: int, label: str | None = None, *, order_guard: int | No
     if not is_prime(p):
         raise ParamOutOfRange(f"units_mod needs a prime, got {p}")
     m = p**k
-    res = np.array(units_residues(p, k), dtype=np.int64)
+    residues = units_residues(p, k)
+    res = np.array(residues, dtype=np.int64)
     pos = np.full(m, -1, dtype=np.int16)
     pos[res] = np.arange(res.size, dtype=np.int16)
     # the int64 products stay below m^2; only positions < |U| reach the table
     table = pos[(res[:, None] * res[None, :]) % m]
     table.setflags(write=False)
+    inv = pos[[pow(r, -1, m) for r in residues]]
     # the units of a ring form a group; residue 1 sits at index 0
-    return FiniteGroup(table, label or f"U{m}", validate=False, order_guard=order_guard)
+    return FiniteGroup(table, label or f"U{m}", validate=False, inv=inv, order_guard=order_guard)
 
 
 def _full_table(G: FiniteGroup) -> np.ndarray:
@@ -124,8 +126,9 @@ def direct_product(
     # (a1, b1) * (a2, b2) = (a1*a2) * nb + b1*b2, at most (na-1)*nb + nb-1 = n-1;
     # the left coordinate does not depend on b1, so that axis has stride 0
     table = product_table(np.broadcast_to(_full_table(A)[:, None, :] * nb, (na, nb, na)), _full_table(B))
-    # componentwise product of two groups, identity (0, 0) = 0
-    return FiniteGroup(table, label or f"{A.label}x{B.label}", validate=False, order_guard=order_guard)
+    # componentwise product of two groups, identity (0, 0) = 0, (a, b)^-1 = (a^-1, b^-1)
+    inv = pair_map(A.inv, B.inv)
+    return FiniteGroup(table, label or f"{A.label}x{B.label}", validate=False, inv=inv, order_guard=order_guard)
 
 
 ActionTable = np.ndarray  # shape (|H|, |N|): action[h] is a permutation of N
@@ -222,9 +225,15 @@ def semidirect(
     act = action(N, H) if callable(action) else np.asarray(action, dtype=np.int32)
     _validate_action(N, H, act)
     # (a1, h1) * (a2, h2) = (a1 * act_{h1}(a2)) * nh + h1*h2, at most (nn-1)*nh + nh-1 = n-1
-    table = product_table(N.table[:, act] * nh, _full_table(H))
-    # a group once act is a homomorphism into Aut(N), which _validate_action proved
-    G = FiniteGroup(table, label or f"{N.label}:{H.label}", validate=False, order_guard=order_guard)
+    # left[a, h, b] = N.table[a, act[h, b]] * nh, gathered as whole rows of N's
+    # transposed table: the values and memory order of N.table[:, act] * nh
+    left = (_full_table(N).T * nh).take(act, axis=0).transpose(2, 0, 1)
+    table = product_table(left, _full_table(H))
+    # a group once act is a homomorphism into Aut(N), which _validate_action
+    # proved; (a, h)^-1 = (act_{h^-1}(a^-1), h^-1)
+    hinv = H.inv[None, :]
+    inv = (act[hinv, N.inv[:, None]] * nh + hinv).ravel()
+    G = FiniteGroup(table, label or f"{N.label}:{H.label}", validate=False, inv=inv, order_guard=order_guard)
     normal = Subgroup(G, np.arange(nn, dtype=np.int32) * nh, _checked=True)
     acting = Subgroup(G, np.arange(nh, dtype=np.int32), _checked=True)
     return SemidirectProduct(G, normal, acting, N, H, act)

@@ -165,14 +165,20 @@ def extend_images(
 
 
 def power_map(table: np.ndarray, xs: np.ndarray, e: int) -> np.ndarray:
-    """The powers x^e of the elements xs, by square and multiply."""
-    result = np.zeros_like(xs)  # x^0 = identity
+    """The powers x^e of the elements xs, by square and multiply from the
+    lowest set bit of e to the top one: x^2 is one gather, x^3 two.  x^0 is
+    zeros of xs's dtype, any other power a new array of the table's."""
+    if e == 0:
+        return np.zeros_like(xs)  # x^0 = identity
     base = xs
-    while e:
-        if e & 1:
-            result = table[result, base]
+    while not e & 1:
         base = table[base, base]
         e >>= 1
+    result = base.astype(table.dtype)
+    while e := e >> 1:
+        base = table[base, base]
+        if e & 1:
+            result = table[result, base]
     return result
 
 
@@ -327,9 +333,11 @@ class FiniteGroup:
     else is range-checked as given and then copied into int16.
     ``validate=True`` treats the table as raw input: range check, identity
     found and relabelled to 0, inverse search and Light's test.
-    ``validate=False`` is the caller's promise of a group with identity 0:
-    inverses are x^(n-1), and an O(n) check of row and column 0 and of
-    x*x^(n-1) = 0 turns a broken promise into a ``GroupError``.
+    ``validate=False`` is the caller's promise of a group with identity 0
+    whose inverses are ``inv``, which it must pass: every constructor knows
+    them from its construction.  They are range-checked, and an O(n) check
+    of row and column 0 and of x*inv[x] = 0 turns a broken promise into a
+    ``GroupError``.
     """
 
     def __init__(
@@ -338,8 +346,11 @@ class FiniteGroup:
         label: str = "G",
         *,
         validate: bool = True,
+        inv=None,
         order_guard: int | None = None,
     ):
+        if validate != (inv is None):
+            raise TypeError("inverses are passed exactly when validate=False")
         adopt = isinstance(table, PairTable) or (
             isinstance(table, np.ndarray)
             and table.dtype == np.int16
@@ -367,9 +378,12 @@ class FiniteGroup:
                 t = perm[t[perm[:, None], perm]]
             inv = np.argmax(t == 0, axis=1).astype(np.int16)
         else:
+            inv = np.asarray(inv)
+            if inv.shape != (n,) or inv.min() < 0 or inv.max() >= n:
+                raise ParamOutOfRange("inverses must be one element index per element")
+            inv = inv.astype(np.int16)
             if not (np.array_equal(t[0], idx) and np.array_equal(t[:, 0], idx)):
                 raise NoIdentity("element 0 is not a two-sided identity")
-            inv = power_map(t, idx, n - 1)
         bad = np.flatnonzero(t[idx, inv] != 0)
         if bad.size:
             raise MissingInverse(int(bad[0]))
@@ -741,7 +755,8 @@ def quotient(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, GroupHom]:
     r = np.asarray(reps)
     qtable = label[table[r[:, None], r]]
     qtable.setflags(write=False)
-    Q = FiniteGroup(qtable, f"{G.label}/N{N.size}", validate=False)
+    # (xN)^-1 = x^-1 N
+    Q = FiniteGroup(qtable, f"{G.label}/N{N.size}", validate=False, inv=label[G.inv[r]])
     proj = GroupHom(G, Q, label, validate=False)
     return Q, proj
 
@@ -753,7 +768,7 @@ def subgroup_as_group(G: FiniteGroup, S: Subgroup, label: str | None = None) -> 
     pos[m] = np.arange(m.size, dtype=np.int16)
     table = pos[G.table[m[:, None], m]]  # positions < |S|
     table.setflags(write=False)
-    H = FiniteGroup(table, label or f"{G.label}|{S.size}", validate=False)
+    H = FiniteGroup(table, label or f"{G.label}|{S.size}", validate=False, inv=pos[G.inv[m]])
     incl = GroupHom(H, G, m, validate=False)
     return H, incl
 

@@ -201,7 +201,9 @@ def _verbal_quotient(G: FiniteGroup, cap: int) -> tuple[FiniteGroup, GroupHom] |
     d = _verbal_exponent(G.order, cap)
     if d == G.order:
         return None
-    verbal = _orbit_closure(G.table, np.unique(power_map(G.table, np.arange(G.order, dtype=np.int32), d)))
+    powers = np.zeros(G.order, dtype=bool)
+    powers[power_map(G.table, np.arange(G.order, dtype=np.int32), d)] = True
+    verbal = _orbit_closure(G.table, np.flatnonzero(powers))
     if int(verbal.sum()) == 1:
         return None
     return quotient(G, Subgroup(G, verbal, _checked=True))

@@ -164,7 +164,7 @@ class TestBuildFromTable:
             with pytest.raises(OrderGuardExceeded, match="guard 32767"):
                 cyclic(40000, order_guard=10**6)
             with pytest.raises(OrderGuardExceeded, match="guard 32767"):
-                FiniteGroup(huge, validate=False, order_guard=10**6)
+                FiniteGroup(huge, validate=False, inv=huge[0], order_guard=10**6)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -589,9 +589,63 @@ class TestProvenConstruction:
     def test_broken_promise_is_a_group_error(self):
         shifted = np.roll(np.array(z4_table()), 1, axis=1)  # a*b = a+b-1: identity at index 1
         with pytest.raises(NoIdentity):
-            FiniteGroup(shifted, validate=False)
+            FiniteGroup(shifted, validate=False, inv=[0, 3, 2, 1])
+        with pytest.raises(MissingInverse):  # Z4 with 1 and 3 claimed self-inverse
+            FiniteGroup(z4_table(), validate=False, inv=[0, 1, 2, 3])
         with pytest.raises(MissingInverse):
-            FiniteGroup([[0, 1, 2], [1, 2, 2], [2, 2, 2]], validate=False)
+            FiniteGroup([[0, 1, 2], [1, 2, 2], [2, 2, 2]], validate=False, inv=[0, 2, 1])
+
+    def test_inverses_are_required_and_range_checked(self):
+        with pytest.raises(TypeError):
+            FiniteGroup(z4_table(), validate=False)
+        with pytest.raises(TypeError):
+            FiniteGroup(z4_table(), inv=[0, 3, 2, 1])
+        for bad in ([0, 3, 2, 4], [0, 3, 2, -1], [0, 3, 2], [0, 3, 2, 65537]):
+            with pytest.raises(ParamOutOfRange):
+                FiniteGroup(z4_table(), validate=False, inv=bad)
+
+    def test_demo_takes_no_inverse_as_a_power(self, monkeypatch):
+        import sys
+
+        import pfg.core as core
+        from pfg.cli import run_demo
+
+        init, real, calls = FiniteGroup.__init__.__code__, core.power_map, []
+
+        def counted(t, xs, e):
+            if sys._getframe(1).f_code is init:
+                calls.append((t.shape[0], e))
+            return real(t, xs, e)
+
+        monkeypatch.setattr(core, "power_map", counted)
+        run_demo(3, 4)
+        assert calls == []
+
+
+class TestPowerMap:
+    class CountingTable:
+        def __init__(self, table):
+            self.table, self.dtype, self.gathers = table, table.dtype, 0
+
+        def __getitem__(self, key):
+            self.gathers += 1
+            return self.table[key]
+
+    def test_powers_match_repeated_products_with_one_gather_per_step(self):
+        from pfg.core import power_map
+
+        for G in (s3_group(), cyclic(12), units_mod(3, 3)):
+            xs = np.arange(G.order, dtype=np.int32)
+            expected = np.zeros_like(xs)
+            for e in range(3 * G.order):
+                t = self.CountingTable(G.table)
+                got = power_map(t, xs, e)
+                assert np.array_equal(got, expected), (G, e)
+                assert got.dtype == (xs.dtype if e == 0 else G.table.dtype)
+                assert got is not xs
+                # squarings up to the top bit, one product per further set bit
+                assert t.gathers == (e.bit_length() - 1 + bin(e).count("1") - 1 if e else 0)
+                expected = G.table[expected, xs]
 
 
 class TestClosure:

@@ -358,9 +358,22 @@ def test_constructed_groups_pass_full_associativity_scan():
         _scan_associativity_full(H.table)
 
 
+def _inverse_walk(table) -> np.ndarray:
+    """Oracle for inverses: x^(n-1) by square and multiply, from the identity."""
+    n = table.shape[0]
+    result, base, e = np.zeros(n, dtype=np.int64), np.arange(n), n - 1
+    while e:
+        if e & 1:
+            result = table[result, base]
+        base = table[base, base]
+        e >>= 1
+    return result
+
+
 def test_constructed_groups_pass_light_test_and_keep_their_inverses():
     # constructors skip Light's test (groups by proof), so run the raw-table
-    # proof on every tower builder's levels, both paper levels and order 4374
+    # proof on every tower builder's levels, both paper levels and order 4374;
+    # their inverses come from the construction and must equal x^(n-1)
     towers = [("zp", (2,)), ("zp", (3,)), ("zpn", (2, 2)), ("units_semidirect", (2,))]
     towers += [("units_semidirect", (3,)), ("s3_times_z2", ())]
     towers.append(("product", (build_tower("zp", (2,), 3), build_tower("zp", (3,), 3))))
@@ -370,9 +383,17 @@ def test_constructed_groups_pass_light_test_and_keep_their_inverses():
     assert isinstance(proved[-1].table, PairTable)  # order 4374 is kept factored
     for G in proved:
         assert _scan_associativity(_full_table(G)) == G.generators()
-    for G in proved + [e.group for e in builtin_entries(500)]:
+    derived = []
+    for entry in builtin_entries(500):
+        G = entry.group
+        normals = enumerate_normals(G)
+        N = normals[len(normals) // 2]
+        derived += [G, quotient(G, N)[0], subgroup_as_group(G, N)[0]]
+    assert sum(H.order > 1 for H in derived) > 2 * len(derived) // 3  # not a run of trivial groups
+    for G in proved + derived:
         idx, table = np.arange(G.order), _full_table(G)
         assert np.array_equal(table[0], idx) and np.array_equal(table[:, 0], idx)
+        assert np.array_equal(G.inv, _inverse_walk(G.table)), G
         assert np.array_equal(G.inv, np.argmax(table == 0, axis=1)), G
 
 
@@ -969,3 +990,28 @@ def test_normal_lattice_matches_all_class_seed_oracle():
         got = [N.bools.tobytes() for N in _normal_lattice(G)]
         assert len(got) == len(set(got)), G
         assert set(got) == _normal_lattice_all_class_seeds(G), G
+
+
+def test_a_failing_property_test_is_reported_with_the_rest(tmp_path):
+    # on a failure Hypothesis imports libcst, which warns on import; under the
+    # project's warning filters the run must still list every failing test
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    (tmp_path / "test_two_failures.py").write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\n"
+        "def test_property(x):\n"
+        "    assert x < 5\n\n\n"
+        "def test_plain():\n"
+        "    assert False\n"
+    )
+    config = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    out = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-c", str(config),
+         "--rootdir", str(tmp_path), "test_two_failures.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    ).stdout
+    assert "INTERNALERROR" not in out
+    assert "2 failed" in out, out
