@@ -16,10 +16,10 @@ from .core import (
     compose,
     hom_parts,
     nilpotency,
-    normality_ops,
+    normal_closure,
+    normal_core,
     preimage,
     quotient,
-    subgroup_algebra,
 )
 from .construct import cyclic, dihedral, direct_product, semidirect, units_mod
 from .lattice import (

@@ -32,7 +32,7 @@ from .core import (
     closure,
     conjugation_hom,
     is_normal,
-    normality_ops,
+    normal_core,
     preimage,
     quotient,
     trivial_subgroup,
@@ -279,7 +279,7 @@ def _section2_lemmas(seed: int, samples: int) -> tuple[list[str], str]:
             continue
         opi_cache: dict[frozenset, Subgroup] = {}
         for H in all_subgroups(G).entries:
-            core = normality_ops(G, H).core
+            core = normal_core(G, H)
             base = prime_factors(G.order // core.size)
             for extra in (set(), {2}, {7}):
                 pset = frozenset(base | extra) or frozenset({2})

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -11,14 +10,6 @@ from . import __version__
 from .core import MAX_ORDER
 from .dsl import ScenarioError, parse, validate
 from .report import Report, RunConfig, emit, run
-
-
-def _default_jobs() -> int:
-    env = os.environ.get("PFG_JOBS", "")
-    try:
-        return max(1, int(env))
-    except ValueError:
-        return 1
 
 
 def demo_source(p: int, depth: int) -> str:
@@ -57,7 +48,7 @@ def main(argv: list[str] | None = None) -> int:
     p_run.add_argument("file", type=Path)
     p_run.add_argument("--format", choices=("text", "json"), default="text")
     p_run.add_argument("--out", default=None)
-    p_run.add_argument("--jobs", type=int, default=_default_jobs())
+    p_run.add_argument("--jobs", type=int, default=1)
     p_run.add_argument("--seed", type=int, default=0)
     p_run.add_argument("--order-guard", type=int, default=None)
 
@@ -67,7 +58,7 @@ def main(argv: list[str] | None = None) -> int:
     p_demo.add_argument("--depth", type=int, default=3)
     p_demo.add_argument("--format", choices=("text", "json"), default="text")
     p_demo.add_argument("--out", default=None)
-    p_demo.add_argument("--jobs", type=int, default=_default_jobs())
+    p_demo.add_argument("--jobs", type=int, default=1)
     p_demo.add_argument("--seed", type=int, default=0)
 
     p_self = sub.add_parser("selftest", help="run the acceptance suite")
@@ -75,6 +66,8 @@ def main(argv: list[str] | None = None) -> int:
     p_self.add_argument("--quick", action="store_true", help="smaller randomized sweeps")
 
     args = parser.parse_args(argv)
+    if getattr(args, "jobs", 1) < 1:
+        (p_run if args.command == "run" else p_demo).error(f"argument --jobs: at least 1; got {args.jobs}")
 
     if args.command == "run":
         if args.order_guard is not None and args.order_guard > MAX_ORDER:

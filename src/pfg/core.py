@@ -16,8 +16,9 @@ import numpy as np
 DEFAULT_ORDER_GUARD = 5000
 # tables and inverses are int16, so no order exceeds 32767, whatever the guard
 MAX_ORDER = int(np.iinfo(np.int16).max)
-# rows per block in the associativity scan, to bound its working memory
-_ASSOC_BLOCK = 64
+# rows per block in the associativity scan and the quotient table, to bound
+# the working memory of their gathers
+_ROW_BLOCK = 64
 
 
 class GroupError(Exception):
@@ -218,9 +219,9 @@ def _scan_associativity(table: np.ndarray) -> list[int]:
     gens = _greedy_generators(table)
     for g in gens:
         xg, gy = table[:, g], table[g, :]
-        for lo in range(0, n, _ASSOC_BLOCK):
-            left = np.take(table, xg[lo : lo + _ASSOC_BLOCK], axis=0)
-            right = np.take(table[lo : lo + _ASSOC_BLOCK], gy, axis=1)
+        for lo in range(0, n, _ROW_BLOCK):
+            left = np.take(table, xg[lo : lo + _ROW_BLOCK], axis=0)
+            right = np.take(table[lo : lo + _ROW_BLOCK], gy, axis=1)
             if not np.array_equal(left, right):
                 x, y = np.argwhere(left != right)[0]
                 raise NotAssociative(lo + int(x), g, int(y))
@@ -565,13 +566,6 @@ def closure(G: FiniteGroup, gens: Iterable[int]) -> Subgroup:
     return Subgroup(G, _orbit_closure(G.table, glist), _checked=True)
 
 
-@dataclass(frozen=True)
-class NormalityOps:
-    is_normal: bool
-    normal_closure: Subgroup
-    core: Subgroup
-
-
 def is_normal(G: FiniteGroup, S: Subgroup) -> bool:
     """S is normal iff conjugation by each generator of G maps S into S.
 
@@ -583,44 +577,61 @@ def is_normal(G: FiniteGroup, S: Subgroup) -> bool:
     return bool(S.bools[conj].all())
 
 
-def normality_ops(G: FiniteGroup, S: Subgroup) -> NormalityOps:
-    """Normality flag, normal closure and core (meet of conjugates) of S."""
+def _normal_closure(G: FiniteGroup, cand: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """Membership of the normal closure of ``cand`` and the elements adjoined.
+
+    Each candidate outside the closure so far is adjoined, and its
+    conjugates by the generators of G become the next candidates, until
+    none falls outside.  The closure then holds each generator's conjugate
+    of every element adjoined, so conjugation by the generators maps it
+    into itself and it is normal; every element adjoined is a conjugate of
+    a candidate, so it is the least such subgroup.  The adjoined elements
+    generate it, and each round gathers |gens| conjugates per element.
+    """
+    t, inv = G.table, G.inv
+    top = np.asarray(G.generators(), dtype=np.int32)
+    bools = np.arange(G.order) == 0
+    adjoined: list[int] = []
+    while cand.size:
+        new = []
+        for c in cand[~bools[cand]].tolist():
+            if not bools[c]:
+                adjoined.append(c)
+                new.append(c)
+                bools = _orbit_closure(t, adjoined, bools)
+        cand = t[t[top[:, None], new], inv[top][:, None]].ravel()
+    return bools, adjoined
+
+
+def normal_closure(G: FiniteGroup, gens: Iterable[int]) -> Subgroup:
+    """Smallest normal subgroup of G containing ``gens``."""
+    cand = np.asarray([int(g) for g in gens], dtype=np.int64)
+    if cand.size and (cand.min() < 0 or cand.max() >= G.order):
+        raise ParamOutOfRange("generator out of range")
+    return Subgroup(G, _normal_closure(G, cand)[0], _checked=True)
+
+
+def normal_core(G: FiniteGroup, S: Subgroup) -> Subgroup:
+    """Largest normal subgroup of G inside S (the meet of S's conjugates).
+
+    Start from S and drop every member whose conjugate by some generator of
+    G leaves the set, until none does.  A member of the core is never
+    dropped, as its conjugates lie in the core.  The set left is mapped into
+    itself by conjugation by each generator, so it is normal; lying in S,
+    it lies in every conjugate of S, and it is the core.  Each round gathers
+    |gens| conjugates of every member left.
+    """
     if S.parent is not G:
         raise DifferentParents("subgroup does not live in the given group")
-    m = S.members
-    conj = G.table[G.table[:, m], G.inv[:, None]]  # conj[g, j] = g*s_j*g^-1
-    normal = bool(S.bools[conj].all())
-    if normal:
-        return NormalityOps(True, S, S)
-    nc = Subgroup(G, _orbit_closure(G.table, np.unique(conj)), _checked=True)
-    # s_j lies in the core iff every conjugate of s_j stays inside S
-    in_core = S.bools[conj].all(axis=0)
-    core = Subgroup(G, m[in_core], _checked=True)
-    return NormalityOps(False, nc, core)
-
-
-@dataclass(frozen=True)
-class SubgroupAlgebra:
-    intersection: Subgroup
-    product_set: np.ndarray
-    product_is_subgroup: bool
-    product_covers_group: bool
-
-
-def subgroup_algebra(S1: Subgroup, S2: Subgroup) -> SubgroupAlgebra:
-    """Meet and set-product of two subgroups of the same parent."""
-    if S1.parent is not S2.parent:
-        raise DifferentParents("subgroups have different parents")
-    G = S1.parent
-    inter = Subgroup(G, S1.bools & S2.bools, _checked=True)
-    prod = np.unique(G.table[S1.members[:, None], S2.members]).astype(np.int32)  # element lists stay int32
-    closed = bool(np.isin(G.table[prod[:, None], prod], prod).all())
-    return SubgroupAlgebra(
-        intersection=inter,
-        product_set=prod,
-        product_is_subgroup=closed,
-        product_covers_group=prod.size == G.order,
-    )
+    g = np.asarray(G.generators(), dtype=np.int32)
+    keep, members = S.bools.copy(), S.members
+    while True:
+        conj = G.table[G.table[g[:, None], members], G.inv[g][:, None]]
+        stays = keep[conj].all(axis=0)
+        if stays.all():
+            return Subgroup(G, keep, _checked=True)
+        keep[members[~stays]] = False
+        members = members[stays]
 
 
 def product_covers(G: FiniteGroup, S1: Subgroup, S2: Subgroup) -> bool:
@@ -738,7 +749,8 @@ def quotient(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, GroupHom]:
     costs |G/N| steps plus n entries in all; the worst case is a tiny N:
     for a trivial N at order 4374 (a factored table) the walk alone takes
     about 35 ms, where the n x |N| coset matrix took under 1 ms.  The
-    quotient's table is dense, as it gathers |G/N|^2 entries of G's.
+    quotient's table is dense, gathered from G's in blocks of ``_ROW_BLOCK``
+    rows, so a factored G's formula reads stay small.
     """
     if N.parent is not G:
         raise DifferentParents("subgroup does not live in the given group")
@@ -753,7 +765,9 @@ def quotient(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, GroupHom]:
                 label[table[x, members]] = len(reps)
                 reps.append(x)
     r = np.asarray(reps)
-    qtable = label[table[r[:, None], r]]
+    qtable = np.empty((r.size, r.size), dtype=np.int16)
+    for lo in range(0, r.size, _ROW_BLOCK):
+        qtable[lo : lo + _ROW_BLOCK] = label[table[r[lo : lo + _ROW_BLOCK, None], r]]
     qtable.setflags(write=False)
     # (xN)^-1 = x^-1 N
     Q = FiniteGroup(qtable, f"{G.label}/N{N.size}", validate=False, inv=label[G.inv[r]])
@@ -791,25 +805,15 @@ def _commutator_series(G: FiniteGroup, lower: bool) -> list[Subgroup]:
     """Lower central series (each term against G) or derived series (each
     term against itself).  For H = <X> and K = <Y>, [H, K] is the normal
     closure in HK of the commutators x^-1 y^-1 x y (Robinson 5.1.7).  Both
-    kinds of term are normal in G, so the closure is taken in G: conjugates
-    by the generators of G of each element adjoined are adjoined in turn
-    until none falls outside, and the elements adjoined generate the term."""
+    kinds of term are normal in G, so the closure is taken in G by
+    ``_normal_closure``, and the elements it adjoins generate the term."""
     t, inv = G.table, G.inv
     series = [whole_subgroup(G)]
     top = gens = np.asarray(G.generators(), dtype=np.int32)
     while True:
         other = top if lower else gens
         cand = t[t[inv[gens][:, None], inv[other]], t[gens[:, None], other]].ravel()
-        bools = np.arange(G.order) == 0
-        adjoined: list[int] = []
-        while cand.size:
-            new = []
-            for c in cand[~bools[cand]].tolist():
-                if not bools[c]:
-                    adjoined.append(c)
-                    new.append(c)
-                    bools = _orbit_closure(t, adjoined, bools)
-            cand = t[t[top[:, None], new], inv[top][:, None]].ravel()
+        bools, adjoined = _normal_closure(G, cand)
         if int(bools.sum()) == series[-1].size:
             return series
         series.append(Subgroup(G, bools, _checked=True))

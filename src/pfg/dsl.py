@@ -457,8 +457,8 @@ class _Parser:
         value = self.expect_int()
         if key == "order_guard" and value > MAX_ORDER:
             self.error(f"order_guard must be at most {MAX_ORDER}, the largest order an int16 table holds; got {value}", at)
-        if key == "order_guard" and value < 1:
-            self.error(f"order_guard must be at least 1; got {value}", at)
+        if key in ("order_guard", "jobs") and value < 1:
+            self.error(f"{key} must be at least 1; got {value}", at)
         return Option(kw.line, kw.column, key, value)
 
     # expressions -----------------------------------------------------

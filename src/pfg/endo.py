@@ -33,7 +33,7 @@ from .core import (
     hom_parts,
     is_normal,
     nilpotency,
-    normality_ops,
+    normal_core,
     preimage,
     product_covers,
     quotient,
@@ -681,7 +681,7 @@ def fewprimes_check(f: GroupHom, primes) -> CheckRecord:
         raise ParamOutOfRange("fewprimes_check requires an injective homomorphism")
     G, H = f.domain, f.codomain
     pset = {int(p) for p in primes}
-    core = normality_ops(H, parts.image).core
+    core = normal_core(H, parts.image)
     required = prime_factors(H.order // core.size)
     if not required <= pset:
         raise PreconditionPrimes(required - pset)

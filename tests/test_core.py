@@ -38,11 +38,12 @@ from pfg.core import (
     compose,
     hom_parts,
     identity_hom,
+    is_normal,
     nilpotency,
-    normality_ops,
+    normal_closure,
+    normal_core,
     preimage,
     quotient,
-    subgroup_algebra,
     subgroup_as_group,
     trivial_subgroup,
     whole_subgroup,
@@ -692,53 +693,101 @@ class TestClosure:
         assert len(calls) == ran
 
 
+def _normality_oracle(G, S):
+    """(is_normal, normal closure, core) of S from the n x |S| matrix of all
+    its conjugates: the reference the generator-based routines replace."""
+    m = S.members
+    conj = G.table[G.table[:, m], G.inv[:, None]]  # conj[g, j] = g*s_j*g^-1
+    # s_j lies in the core iff every conjugate of s_j stays inside S
+    return bool(S.bools[conj].all()), closure(G, np.unique(conj)), Subgroup(G, m[S.bools[conj].all(axis=0)])
+
+
+def _assert_normality_matches_oracle(G, S):
+    normal, nc, core = _normality_oracle(G, S)
+    assert is_normal(G, S) == normal, (G.label, S)
+    assert normal_closure(G, S.members) == nc, (G.label, S)
+    assert normal_core(G, S) == core, (G.label, S)
+
+
+def _permutation_group(k):
+    """S_k from its permutation table; the identity permutation comes first."""
+    perms = list(itertools.permutations(range(k)))
+    index = {p: i for i, p in enumerate(perms)}
+    return build_from_table([[index[tuple(p[i] for i in q)] for q in perms] for p in perms]), perms
+
+
 class TestNormalityOps:
     def test_whole_group(self):
         G = s3_group()
-        ops = normality_ops(G, whole_subgroup(G))
-        assert ops.is_normal and ops.normal_closure.is_whole and ops.core.is_whole
+        S = whole_subgroup(G)
+        assert is_normal(G, S) and normal_closure(G, S.members).is_whole and normal_core(G, S).is_whole
 
     def test_s3_order_two(self):
         G = s3_group()
         S = closure(G, [1])
-        ops = normality_ops(G, S)
-        assert not ops.is_normal
-        assert ops.normal_closure.is_whole
-        assert ops.core.is_trivial
+        assert not is_normal(G, S)
+        assert normal_closure(G, [1]).is_whole
+        assert normal_core(G, S).is_trivial
 
     def test_s3_order_three(self):
         G = s3_group()
         S = closure(G, [2])
-        ops = normality_ops(G, S)
-        assert ops.is_normal and ops.normal_closure == S and ops.core == S
+        assert is_normal(G, S) and normal_closure(G, [2]) == S and normal_core(G, S) == S
 
-
-class TestSubgroupAlgebra:
-    def test_equal_subgroups(self):
+    def test_empty_and_bad_generators(self):
         G = s3_group()
-        S = closure(G, [2])
-        alg = subgroup_algebra(S, S)
-        assert alg.intersection == S
-        assert sorted(alg.product_set.tolist()) == sorted(S.members.tolist())
-        assert alg.product_is_subgroup
-        assert not alg.product_covers_group
-
-    def test_s3_complementary(self):
-        G = s3_group()
-        alg = subgroup_algebra(closure(G, [2]), closure(G, [1]))
-        assert alg.intersection.is_trivial
-        assert alg.product_covers_group
-
-    def test_z4_self_product(self):
-        G = cyclic(4)
-        S = closure(G, [2])
-        alg = subgroup_algebra(S, S)
-        assert sorted(alg.product_set.tolist()) == [0, 2]
-        assert not alg.product_covers_group
-
-    def test_different_parents(self):
+        assert normal_closure(G, []).is_trivial
+        with pytest.raises(ParamOutOfRange):
+            normal_closure(G, [6])
         with pytest.raises(DifferentParents):
-            subgroup_algebra(trivial_subgroup(cyclic(4)), trivial_subgroup(cyclic(4)))
+            normal_core(G, whole_subgroup(s3_group()))
+
+    def test_catalog_subgroups_match_oracle(self):
+        from pfg.catalog import builtin_entries
+        from pfg.lattice import all_subgroups
+
+        pairs = 0
+        for entry in builtin_entries(100):
+            for S in all_subgroups(entry.group).entries:
+                _assert_normality_matches_oracle(entry.group, S)
+                pairs += 1
+        assert pairs == 285
+
+    def test_tower_levels_match_oracle(self):
+        """Every subgroup of every builder's levels at depth 3, the order-486
+        paper level among them."""
+        from pfg.lattice import all_subgroups
+
+        orders = []
+        for _, levels, _ in _builder_levels(3):
+            for G in levels:
+                orders.append(G.order)
+                for S in all_subgroups(G).entries:
+                    _assert_normality_matches_oracle(G, S)
+        assert 486 in orders
+
+    def test_order_4374_level(self):
+        """The oracle only where its n x |S| matrix is small; S = G by its closed form."""
+        sd = unit_semidirect_level(3, 4)
+        G = sd.group
+        for S in (sd.normal_part, sd.acting_part, trivial_subgroup(G), closure(G, [G.order - 1])):
+            _assert_normality_matches_oracle(G, S)
+        assert normal_core(G, whole_subgroup(G)).is_whole
+        assert normal_core(G, sd.normal_part) == sd.normal_part
+        assert normal_core(G, sd.acting_part).is_trivial
+        assert normal_closure(G, sd.normal_part.members) == sd.normal_part
+
+    @pytest.mark.parametrize("k", [4, 5])
+    def test_core_of_point_stabilizer_needs_several_drop_passes(self, k):
+        """In S_k the stabilizer of a point has a trivial core, and one pass
+        that drops members with a conjugate outside S leaves more than that."""
+        G, perms = _permutation_group(k)
+        S = Subgroup(G, [i for i, p in enumerate(perms) if p[-1] == k - 1])
+        g = np.asarray(G.generators())
+        conj = G.table[G.table[g[:, None], S.members], G.inv[g][:, None]]
+        assert S.bools[conj].all(axis=0).sum() > 1  # what a single pass would keep
+        assert normal_core(G, S).is_trivial
+        _assert_normality_matches_oracle(G, S)
 
 
 class TestQuotient:
@@ -766,6 +815,14 @@ class TestQuotient:
         G = s3_group()
         with pytest.raises(NotNormal):
             quotient(G, closure(G, [1]))
+
+    def test_table_gathered_in_row_blocks(self):
+        """By the trivial subgroup the quotient is G again: 486 rows are seven
+        whole blocks of 64 and a part block."""
+        G = unit_semidirect_level(3, 3).group
+        Q, proj = quotient(G, trivial_subgroup(G))
+        assert np.array_equal(proj.map, np.arange(G.order))
+        assert np.array_equal(Q.table, G.table) and np.array_equal(Q.inv, G.inv)
 
 
 class TestHoms:

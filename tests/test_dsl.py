@@ -376,6 +376,49 @@ class TestOrderLimit:
         assert main(["run", str(path), "--order-guard", "4"]) == 0
 
 
+class TestJobs:
+    """A worker count below 1 is an error where it is given, and the
+    environment sets none."""
+
+    @pytest.mark.parametrize("value", [-3, 0])
+    def test_set_jobs_below_one_is_located(self, value, tmp_path, capsys):
+        from pfg.cli import main
+
+        source = f"group G = cyclic(4)\nset jobs = {value}\n"
+        (d,) = parse(source).diagnostics
+        assert (d.line, d.column) == (2, 12)
+        assert d.message == f"jobs must be at least 1; got {value}"
+        path = tmp_path / "jobs.pfg"
+        path.write_text(source)
+        assert main(["run", str(path)]) == 2
+        assert "line 2, column 12" in capsys.readouterr().err
+        assert parse("set jobs = 1\n").spec.options == {"jobs": 1}
+
+    @pytest.mark.parametrize("command", [["run", "ok.pfg"], ["demo", "paper-example"]])
+    @pytest.mark.parametrize("value", ["-3", "0"])
+    def test_jobs_flag_below_one_exits_2(self, command, value, monkeypatch, tmp_path, capsys):
+        from pfg.cli import main
+
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "ok.pfg").write_text("group G = cyclic(4)\n")
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--jobs", value])
+        assert exc.value.code == 2
+        assert f"--jobs: at least 1; got {value}" in capsys.readouterr().err
+
+    def test_environment_sets_no_worker_count(self, monkeypatch, tmp_path):
+        from pfg import cli
+
+        configs = []
+        real_run = cli.run
+        monkeypatch.setattr(cli, "run", lambda resolved, config: configs.append(config) or real_run(resolved, config))
+        monkeypatch.setenv("PFG_JOBS", "4")
+        path = tmp_path / "ok.pfg"
+        path.write_text("group G = cyclic(4)\n")
+        assert cli.main(["run", str(path)]) == 0
+        assert [c.jobs for c in configs] == [1]
+
+
 class TestLongIntegerLiterals:
     """A literal longer than Python converts to int (4300 digits by default)
     is a located parse error at every place an integer is read."""

@@ -199,6 +199,37 @@ class TestFewprimes:
         with pytest.raises(Exception):
             fewprimes_check(GroupHom(G, G, [0, 2, 0, 2]), {2})
 
+    def test_identity_on_order_4374_level_stays_small(self):
+        """The core of an automorphism's image is G and O^pi is trivial, so
+        both quotients have order 4374.  The core and the quotient tables
+        are gathered in O(n * |gens|) and row blocks: the traced peak is the
+        two dense quotient tables, 73 MiB, where an n x n conjugate matrix
+        alone took 803 MiB."""
+        import tracemalloc
+
+        from pfg.dsl import parse, validate
+        from pfg.report import emit, run
+
+        source = (
+            "group G = semidirect(cyclic(81), units_mod(3, 4), mult_action)\n"
+            "endo f on G = identity\n"
+            "analyze fewprimes(f, {2, 3})\n"
+        )
+        tracemalloc.start()
+        try:
+            report = run(validate(parse(source).spec))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert emit(report, "json") == (
+            b'{"analyses":[{"details":{"checks":{"image_of_residual_inside_residual":true,'
+            b'"induced_image_matches_projected_product":true,"induced_map_injective":true,'
+            b'"induced_map_well_defined":true},"image_order":4374,"primes":[2,3],'
+            b'"quotient_orders":[4374,4374]},"kind":"fewprimes","ms":0,"status":"pass",'
+            b'"target":"f, {2, 3}"}],"scenario":"scenario","seed":0,"version":"0.1.0"}\n'
+        )
+        assert peak < 100 * 2**20, peak
+
 
 class TestRegulation:
     def test_identity_semigroup_no_autos(self):

@@ -345,11 +345,11 @@ class TestOPi:
             signal.signal(signal.SIGALRM, previous)
 
     def test_subgroup_matches_parent_for_core_primes(self):
-        from pfg.core import normality_ops
+        from pfg.core import normal_core
 
         G = unit_semidirect_level(3, 2).group
         for H in all_subgroups(G).entries:
-            core = normality_ops(G, H).core
+            core = normal_core(G, H)
             primes = prime_factors(G.order // core.size) or {2}
             assert o_pi_of_subgroup(G, H, primes) == o_pi(G, primes)
 
