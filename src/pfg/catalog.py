@@ -59,8 +59,8 @@ def _scale_endos(G: FiniteGroup, factors, right_order: int = 1) -> list[GroupHom
 
 def power_endo(G: FiniteGroup, m: int) -> GroupHom:
     """x -> x^m; an endomorphism whenever G is abelian."""
-    arr = np.zeros(G.order, dtype=np.int32)
-    cur = np.arange(G.order, dtype=np.int32)
+    arr = np.zeros(G.order, dtype=np.intp)
+    cur = np.arange(G.order, dtype=np.intp)
     for _ in range(m):
         arr = G.table[arr, cur]
     return GroupHom(G, G, arr)
@@ -83,7 +83,7 @@ def quaternion8() -> FiniteGroup:
 def alternating4() -> SemidirectProduct:
     """A4 as (Z/2 x Z/2) x| Z/3, the 3-cycle permuting the involutions."""
     v4 = direct_product(cyclic(2), cyclic(2), "V4")
-    act = np.array([[0, 1, 2, 3], [0, 2, 3, 1], [0, 3, 1, 2]], dtype=np.int32)
+    act = np.array([[0, 1, 2, 3], [0, 2, 3, 1], [0, 3, 1, 2]], dtype=np.intp)
     return semidirect(v4, cyclic(3), act, "A4")
 
 
@@ -94,8 +94,8 @@ def heisenberg3() -> SemidirectProduct:
     nilpotency-class-two group whose every nontrivial element has order 3.
     """
     base = direct_product(cyclic(3), cyclic(3), "Z3xZ3")
-    shear = np.array([(((i // 3) + (i % 3)) % 3) * 3 + (i % 3) for i in range(9)], dtype=np.int32)
-    act = np.stack([np.arange(9, dtype=np.int32), shear, shear[shear]])
+    shear = np.array([(((i // 3) + (i % 3)) % 3) * 3 + (i % 3) for i in range(9)], dtype=np.intp)
+    act = np.stack([np.arange(9, dtype=np.intp), shear, shear[shear]])
     return semidirect(base, cyclic(3), act, "H27")
 
 
@@ -160,7 +160,7 @@ def _builtin_entries_cached(max_order: int) -> tuple[CatalogEntry, ...]:
 
     s3xz4 = direct_product(dihedral(3).group, cyclic(4), "S3xZ4")
     f_double = GroupHom(s3xz4, s3xz4, pair_map(np.arange(6), scale_first_map(cyclic(4), 2)))
-    f_kill = GroupHom(s3xz4, s3xz4, pair_map(np.arange(6), np.zeros(4, dtype=np.int32)))
+    f_kill = GroupHom(s3xz4, s3xz4, pair_map(np.arange(6), np.zeros(4, dtype=np.intp)))
     entries.append(_entry(s3xz4, [f_double, f_kill], semigroup_gens=[[f_double]]))
 
     for p, kmax in ((2, 3), (3, 3), (5, 2)):
@@ -191,7 +191,7 @@ def paper_example_level(p: int, k: int) -> tuple[SemidirectProduct, GroupHom]:
 def random_endo(entry: CatalogEntry, rng: np.random.Generator) -> GroupHom:
     """Random endomorphism: composite of shipped maps and inner automorphisms."""
     G = entry.group
-    arr = np.arange(G.order, dtype=np.int32)
+    arr = np.arange(G.order, dtype=np.intp)
     for _ in range(int(rng.integers(1, 4))):
         if rng.random() < 0.5 and G.order > 1:
             g = int(rng.integers(0, G.order))

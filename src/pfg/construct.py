@@ -163,15 +163,15 @@ def _validate_action(N: FiniteGroup, H: FiniteGroup, act: ActionTable) -> None:
 
 
 def trivial_action(N: FiniteGroup, H: FiniteGroup) -> ActionTable:
-    return np.tile(np.arange(N.order, dtype=np.int32), (H.order, 1))
+    return np.tile(np.arange(N.order, dtype=np.intp), (H.order, 1))
 
 
 def inversion_action(N: FiniteGroup, H: FiniteGroup) -> ActionTable:
     """Odd-index elements of H invert N.  Requires N abelian and |H| even."""
     if not N.is_abelian():
         raise BadAction("inversion action needs an abelian normal part")
-    act = np.empty((H.order, N.order), dtype=np.int32)
-    ident = np.arange(N.order, dtype=np.int32)
+    act = np.empty((H.order, N.order), dtype=np.intp)
+    ident = np.arange(N.order, dtype=np.intp)
     for h in range(H.order):
         act[h] = N.inv if h % 2 else ident
     return act
@@ -182,7 +182,7 @@ def multiplication_action(N: FiniteGroup, H: FiniteGroup, residues: Sequence[int
     m = N.order
     if len(residues) != H.order:
         raise BadAction("one residue per acting element is required")
-    act = np.empty((H.order, m), dtype=np.int32)
+    act = np.empty((H.order, m), dtype=np.intp)
     base = np.arange(m, dtype=np.int64)
     for h, r in enumerate(residues):
         if gcd(int(r) % m if m > 1 else 1, m) != 1:
@@ -222,7 +222,7 @@ def semidirect(
     """Semidirect product on pairs (a, h) with (a,h)(b,k) = (a*act_h(b), hk)."""
     nn, nh = N.order, H.order
     check_order(nn * nh, order_guard)
-    act = action(N, H) if callable(action) else np.asarray(action, dtype=np.int32)
+    act = action(N, H) if callable(action) else np.asarray(action, dtype=np.intp)
     _validate_action(N, H, act)
     # (a1, h1) * (a2, h2) = (a1 * act_{h1}(a2)) * nh + h1*h2, at most (nn-1)*nh + nh-1 = n-1
     # left[a, h, b] = N.table[a, act[h, b]] * nh, gathered as whole rows of N's
@@ -234,8 +234,8 @@ def semidirect(
     hinv = H.inv[None, :]
     inv = (act[hinv, N.inv[:, None]] * nh + hinv).ravel()
     G = FiniteGroup(table, label or f"{N.label}:{H.label}", validate=False, inv=inv, order_guard=order_guard)
-    normal = Subgroup(G, np.arange(nn, dtype=np.int32) * nh, _checked=True)
-    acting = Subgroup(G, np.arange(nh, dtype=np.int32), _checked=True)
+    normal = Subgroup(G, np.arange(nn, dtype=np.intp) * nh, _checked=True)
+    acting = Subgroup(G, np.arange(nh, dtype=np.intp), _checked=True)
     return SemidirectProduct(G, normal, acting, N, H, act)
 
 
@@ -267,9 +267,8 @@ def scale_first_map(G: FiniteGroup, m: int, right_order: int = 1) -> np.ndarray:
     pairs whose right factor has order ``right_order``; with the default 1
     it is x -> m*x on a cyclic G."""
     nn = G.order // right_order
-    # m is reduced first, so (nn-1)^2 < 2^31 bounds every int32 product
-    left = np.arange(nn, dtype=np.int32) * (m % nn) % nn
-    return pair_map(left, np.arange(right_order, dtype=np.int32))
+    left = np.arange(nn, dtype=np.intp) * (m % nn) % nn
+    return pair_map(left, np.arange(right_order, dtype=np.intp))
 
 
 def load_table_file(path) -> np.ndarray:

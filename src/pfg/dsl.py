@@ -680,8 +680,8 @@ def _build_gexpr(expr: Call, lookup, base_dir: Path, guard: int | None, stmt: St
 def _build_action(action, N: FiniteGroup, H: FiniteGroup, ns: _GroupShape, hs: _GroupShape, stmt: Stmt):
     if isinstance(action, ActionMap):
         # the H -> Aut(N) homomorphism from the images of acting generators
-        act = np.zeros((H.order, N.order), dtype=np.int32)
-        act[0] = np.arange(N.order, dtype=np.int32)
+        act = np.zeros((H.order, N.order), dtype=np.intp)
+        act[0] = np.arange(N.order, dtype=np.intp)
         given: dict[int, np.ndarray] = {}
         for h_expr, pairs in action.entries:
             h = hs.index_of(h_expr, stmt)
@@ -722,7 +722,7 @@ def _expand_hom(G: FiniteGroup, H: FiniteGroup, pairs: list[tuple[int, int]], st
     for x, y in pairs:
         if given.setdefault(x, y) != y:
             raise ScenarioError("NotAHomomorphism", f"conflicting images for element {x}", stmt.line, stmt.column)
-    img = np.zeros(G.order, dtype=np.int32)
+    img = np.zeros(G.order, dtype=np.intp)
     img[list(given)] = list(given.values())
     members, witness = extend_images(G.table, list(given), img, lambda a, b: H.table[a, b])
     if witness is not None:
@@ -743,9 +743,9 @@ def _build_hexpr(expr, target, shape: _GroupShape, stmt: Stmt) -> GroupHom:
         pairs = [(shape.index_of(a, stmt), shape.index_of(b, stmt)) for a, b in expr.entries]
         return GroupHom(G, G, _expand_hom(G, G, pairs, stmt), validate=False)
     if expr.head == "identity":
-        return GroupHom(G, G, np.arange(G.order, dtype=np.int32), validate=False)
+        return GroupHom(G, G, np.arange(G.order, dtype=np.intp), validate=False)
     if expr.head == "trivial":
-        return GroupHom(G, G, np.zeros(G.order, dtype=np.int32), validate=False)
+        return GroupHom(G, G, np.zeros(G.order, dtype=np.intp), validate=False)
     (m,) = expr.args
     nb = 1 if shape.left is None else shape.right.order
     if expr.head == "scale_first":
@@ -755,7 +755,7 @@ def _build_hexpr(expr, target, shape: _GroupShape, stmt: Stmt) -> GroupHom:
             raise ScenarioError("ParamOutOfRange", f"project_away coordinate must be 0 or 1, got {m}", stmt.line, stmt.column)
         if shape.left is None:
             raise ScenarioError("NotAHomomorphism", "project_away needs a product-like group", stmt.line, stmt.column)
-        coords = [np.arange(G.order // nb, dtype=np.int32), np.arange(nb, dtype=np.int32)]
+        coords = [np.arange(G.order // nb, dtype=np.intp), np.arange(nb, dtype=np.intp)]
         coords[m] = np.zeros_like(coords[m])
         arr = construct.pair_map(*coords)
     try:

@@ -31,6 +31,7 @@ from .core import (
     _orbit_closure,
     extend_images,
     hom_parts,
+    identity_hom,
     is_normal,
     nilpotency,
     normal_core,
@@ -149,7 +150,7 @@ def _power_chain(f_arr: np.ndarray) -> tuple[list[np.ndarray], int]:
     ker f^(m+1); the image chain stabilizes at the same m.
     """
     n = f_arr.shape[0]
-    powers = [np.arange(n, dtype=np.int32), f_arr]
+    powers = [np.arange(n, dtype=np.intp), f_arr]
     ker_sizes = [1, int((f_arr == 0).sum())]
     while ker_sizes[-1] != ker_sizes[-2]:
         powers.append(f_arr[powers[-1]])
@@ -243,7 +244,7 @@ def verify_theorem_a(G: FiniteGroup, f: GroupHom, rep: ContractionReport | None 
     checks.append(Check("restriction_to_stable_is_automorphism", restr_ok))
 
     witness = ""
-    fk = np.arange(G.order, dtype=np.int32)
+    fk = np.arange(G.order, dtype=np.intp)
     for k, power in enumerate(rep.powers[: rep.depth + 1]):
         if diff := _set_witness(_scatter(G.order, fk[con.members]), con.bools & _scatter(G.order, power)):
             witness = f"k={k}: " + diff
@@ -298,8 +299,8 @@ class EndoSemigroup:
             i, j = self._noncomm_witness
             raise NonCommutative(i, j)
 
-    def monoid_maps(self, cap: int = MAP_CAP) -> list[np.ndarray]:
-        """All distinct maps in the generated transformation semigroup."""
+    def monoid_maps(self, cap: int = MAP_CAP) -> np.ndarray:
+        """All distinct maps in the generated transformation semigroup, as rows."""
         return _monoid_maps([g.map for g in self.generators], cap)
 
     def __repr__(self) -> str:
@@ -307,57 +308,86 @@ class EndoSemigroup:
         return f"EndoSemigroup({len(self.generators)} generators on {self.parent.label!r}, {tag})"
 
 
-def _monoid_maps(gens: list[np.ndarray], cap: int) -> list[np.ndarray]:
-    """All distinct composites of the generator maps, at most ``cap`` of them."""
-    seen: dict[bytes, np.ndarray] = {}
-    queue: list[np.ndarray] = []
-    for g in gens:
-        key = g.tobytes()
-        if key not in seen:
-            seen[key] = g
-            queue.append(g)
+def _monoid_maps(gens: list[np.ndarray], cap: int) -> np.ndarray:
+    """All distinct composites of the generator maps, at most ``cap`` of them,
+    as the rows of a read-only intp array in the order of their bytes.
+
+    The walk holds each map once, as the bytes that key it, and each row is
+    copied out of its key as the key is released, so no map is held twice.
+    """
+    gens = [np.asarray(g, dtype=np.intp) for g in gens]
+    seen = dict.fromkeys(g.tobytes() for g in gens)  # an insertion-ordered set
+    queue = list(seen)
     while queue:
-        w = queue.pop()
+        w = np.frombuffer(queue.pop(), dtype=np.intp)
         for g in gens:
-            c = g[w]
-            key = c.tobytes()
+            key = g[w].tobytes()
             if key not in seen:
                 if len(seen) >= cap:
                     raise SearchBudgetExceeded(f"transformation semigroup exceeds {cap} maps")
-                seen[key] = c
-                queue.append(c)
-    return list(seen.values())
+                seen[key] = None
+                queue.append(key)
+    keys = sorted(seen)
+    del seen
+    rows = np.empty((len(keys), gens[0].size), dtype=np.intp)
+    for i in reversed(range(rows.shape[0])):
+        rows[i] = np.frombuffer(keys.pop(), dtype=np.intp)
+    rows.setflags(write=False)
+    return rows
 
 
-def _literal_filter_contraction(
-    maps: list[np.ndarray], k_bools: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, bool]:
+def _separating_points(rows: np.ndarray) -> np.ndarray:
+    """Ascending points on which every two of the distinct ``rows``, sorted
+    by their bytes, differ somewhere.
+
+    In that order two rows first differ in the byte where some adjacent pair
+    of rows between them first differs (in a sorted list, the longest common
+    prefix of two strings is the shortest one of adjacent strings between
+    them).  So the points where adjacent rows first differ separate all the
+    rows, and the last one is needed by its own pair, which agrees before it.
+    """
+    first = (rows[1:] != rows[:-1]).argmax(axis=1)
+    return np.flatnonzero(_scatter(rows.shape[1], first))
+
+
+# entries per gather of composites in the literal oracle, to bound its memory
+_COMPOSE_BLOCK = 2**16
+
+
+def _literal_filter_contraction(maps: np.ndarray, k_bools: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
     """Contraction and image meet straight from the filter-of-tails definition.
 
     The filter is generated by the sets T = intersection over xi of
     (semigroup composed with xi); since the semigroup is finite as a set of
     maps, the minimal generating set is the intersection over all xi, and an
     element contracts into K exactly when every map of that minimal tail
-    sends it into K.
+    sends it into K.  ``maps`` are the rows ``_monoid_maps`` gives: distinct,
+    closed under composition and in the order of their bytes.  So s after xi
+    is one of them, and its values s(xi(p)) on points p that separate the
+    maps name it: each composite costs |points| gathers, not n.  Names keep
+    the order of the rows, so a sorted search finds each.
     """
-    n = maps[0].shape[0]
-    key_of = {m.tobytes(): m for m in maps}
-    tail_keys: set[bytes] | None = None
-    stack = np.stack(maps)
-    for xi in maps:
-        composed = stack[:, xi]  # rows: every (map after xi)
-        keys = {composed[i].tobytes() for i in range(composed.shape[0])}
-        tail_keys = keys if tail_keys is None else (tail_keys & keys)
-        if not tail_keys:
+    points = _separating_points(maps)
+    m, n = maps.shape
+    if not points.size:  # one map, which any point names
+        points = np.zeros(1, dtype=np.intp)
+    name = np.dtype((np.void, points.size * maps.itemsize))
+    names = maps.take(points, axis=1).view(name).ravel()
+    tail = np.ones(m, dtype=bool)
+    block = max(1, _COMPOSE_BLOCK // (m * points.size))
+    for lo in range(0, m, block):
+        xis = maps[lo : lo + block].take(points, axis=1)
+        # composite[s, j]: the row of map s after map lo + j
+        composite = names.searchsorted(maps.take(xis, axis=1).view(name)[..., 0])
+        hit = np.zeros((xis.shape[0], m), dtype=bool)
+        hit[np.arange(xis.shape[0]), composite] = True
+        tail &= hit.all(axis=0)
+        if not tail.any():
             break
-    nonempty = bool(tail_keys)
-    con = np.ones(n, dtype=bool)
-    for key in tail_keys or ():
-        con &= k_bools[key_of[key]]
-    img_meet = np.ones(n, dtype=bool)
-    for m in maps:
-        img_meet &= _scatter(n, m)
-    return con, img_meet, nonempty
+    con = k_bools[maps[tail]].all(axis=0)
+    images = np.zeros((m, n), dtype=bool)
+    images[np.arange(m)[:, None], maps] = True
+    return con, images.all(axis=0), bool(tail.any())
 
 
 def _eventual_cycle_containment(tau: np.ndarray, k_bools: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -391,7 +421,7 @@ def _filter_contraction(
     the con and stable-image bools, and the checks.
     """
     m = k_bools.shape[0]
-    tau = reduce(lambda a, g: g[a], gens, np.arange(m, dtype=np.int32))
+    tau = reduce(lambda a, g: g[a], gens, np.arange(m, dtype=np.intp))
     con, stable = _eventual_cycle_containment(tau, k_bools)
 
     # simulation oracle: membership in K of tau^j(x) for j from m on, a
@@ -453,8 +483,8 @@ def _stable_image_inside(S: EndoSemigroup, con: Subgroup) -> np.ndarray:
     with no table of con.  Only the order of the result is read, so it is not
     proved closed: the stable image of S on G already was.
     """
-    pos = np.full(S.parent.order, -1, dtype=np.int32)
-    pos[con.members] = np.arange(con.size, dtype=np.int32)
+    pos = np.full(S.parent.order, -1, dtype=np.intp)
+    pos[con.members] = np.arange(con.size, dtype=np.intp)
     restricted = [pos[g.map[con.members]] for g in S.generators]
     _, _, inner_stable, _ = _filter_contraction(restricted, _scatter(con.size, 0), MAP_CAP)
     return con.members[inner_stable]
@@ -604,7 +634,7 @@ def _count_injective(
     chain = _generator_chain(G)
     count = 0
     witnesses: list[np.ndarray] = []
-    img = np.zeros(G.order, dtype=np.int32)  # shared by all nodes: each re-extends it from its generators
+    img = np.zeros(G.order, dtype=np.intp)  # shared by all nodes: each re-extends it from its generators
 
     def extend(members: np.ndarray, level: int) -> None:
         nonlocal count
@@ -625,7 +655,7 @@ def _count_injective(
             if witness is None and np.unique(img[sub]).size == sub.size and T.order % sub.size == 0:
                 extend(sub, level + 1)
 
-    extend(np.zeros(1, dtype=np.int64), 0)
+    extend(np.zeros(1, dtype=np.intp), 0)
     return count, witnesses
 
 
@@ -694,8 +724,10 @@ def fewprimes_check(f: GroupHom, primes) -> CheckRecord:
     if not mapped:
         return CheckRecord("fewprimes", tuple(checks), {})
 
-    QG, pG = quotient(G, OG)
-    QH, pH = quotient(H, OH)
+    # a quotient by the trivial subgroup has identity labels and G's table, so
+    # G stands for itself there and is not copied (densely, when factored)
+    QG, pG = (G, identity_hom(G)) if OG.is_trivial else quotient(G, OG)
+    QH, pH = (H, identity_hom(H)) if OH.is_trivial else quotient(H, OH)
     _, first = np.unique(pG.map, return_index=True)
     psi = pH.map[f.map[first]]
     well_defined = bool(np.array_equal(pH.map[f.map], psi[pG.map]))
@@ -817,8 +849,8 @@ def tfrelstab_ii_check(sd, S: EndoSemigroup, autos: AutoSet | None = None) -> Ch
             raise NotInvariant(f"automorphism {i} does not preserve both parts")
 
     n_group, incl = subgroup_as_group(G, N)
-    pos = np.full(G.order, -1, dtype=np.int32)
-    pos[N.members] = np.arange(N.size, dtype=np.int32)
+    pos = np.full(G.order, -1, dtype=np.intp)
+    pos[N.members] = np.arange(N.size, dtype=np.intp)
 
     xi_arrs: dict[bytes, np.ndarray] = {}
     for h in H.members:

@@ -92,7 +92,7 @@ def _zuppos(G: FiniteGroup) -> tuple[np.ndarray, np.ndarray]:
     prime_power = np.zeros(int(orders.max()) + 1, dtype=bool)
     for q in np.unique(orders).tolist():
         prime_power[q] = len(prime_factors(q)) == 1
-    label = np.full(G.order, -1, dtype=np.int32)
+    label = np.full(G.order, -1, dtype=np.intp)
     zuppos: list[int] = []
     for x in np.flatnonzero(prime_power[orders]).tolist():
         if label[x] >= 0:
@@ -103,7 +103,7 @@ def _zuppos(G: FiniteGroup) -> tuple[np.ndarray, np.ndarray]:
         powers = np.asarray(powers)
         label[powers[orders[powers] == q]] = len(zuppos)
         zuppos.append(x)
-    return np.asarray(zuppos, dtype=np.int32), label
+    return np.asarray(zuppos, dtype=np.intp), label
 
 
 def _adjunction_enumeration(G: FiniteGroup, budget: _Budget) -> tuple[list[tuple[np.ndarray, tuple[int, ...]]], bool]:
@@ -122,14 +122,14 @@ def _adjunction_enumeration(G: FiniteGroup, budget: _Budget) -> tuple[list[tuple
     zs, label = _zuppos(G)
     # a row per prime p of n: the zuppo of the p-part of each x, which
     # x^m generates for m the p'-part of n (-1 when x has no p-part)
-    idx = np.arange(n, dtype=np.int32)
+    idx = np.arange(n, dtype=np.intp)
     parts = []
     for p in prime_factors(n):
         m = n
         while m % p == 0:
             m //= p
         parts.append(label[power_map(t, idx, m)])
-    parts = np.array(parts, dtype=np.int32).reshape(-1, n)
+    parts = np.array(parts, dtype=np.intp).reshape(-1, n)
     triv = idx == 0
     found = [(triv, ())]
     stack = [(triv, (), -1)]
@@ -202,7 +202,7 @@ def _verbal_quotient(G: FiniteGroup, cap: int) -> tuple[FiniteGroup, GroupHom] |
     if d == G.order:
         return None
     powers = np.zeros(G.order, dtype=bool)
-    powers[power_map(G.table, np.arange(G.order, dtype=np.int32), d)] = True
+    powers[power_map(G.table, np.arange(G.order, dtype=np.intp), d)] = True
     verbal = _orbit_closure(G.table, np.flatnonzero(powers))
     if int(verbal.sum()) == 1:
         return None

@@ -96,7 +96,7 @@ class CoherentEndoFamily:
 
 def _reduction_hom(big: FiniteGroup, small: FiniteGroup) -> GroupHom:
     """Reduction Z/m -> Z/n for n | m (index = residue)."""
-    return GroupHom(big, small, np.arange(big.order, dtype=np.int64) % small.order, validate=False)
+    return GroupHom(big, small, np.arange(big.order, dtype=np.intp) % small.order, validate=False)
 
 
 def build_zp_tower(p: int, depth: int, *, order_guard: int | None = None) -> tuple[Tower, CoherentEndoFamily]:
@@ -153,8 +153,8 @@ def build_units_semidirect_tower(
         res_big = units_residues(p, k + 2)
         res_small = units_residues(p, k + 1)
         upos = {r: i for i, r in enumerate(res_small)}
-        umap = np.array([upos[r % m_small] for r in res_big], dtype=np.int32)
-        mapping = pair_map(np.arange(big.normal_order, dtype=np.int32) % m_small, umap, small.acting_order)
+        umap = np.array([upos[r % m_small] for r in res_big], dtype=np.intp)
+        mapping = pair_map(np.arange(big.normal_order, dtype=np.intp) % m_small, umap, small.acting_order)
         connecting.append(GroupHom(big.group, small.group, mapping, validate=True))
     tower = Tower(tuple(levels), tuple(connecting), f"units_semidirect({p})", parts=tuple(parts))
     endos = tuple(
@@ -175,13 +175,13 @@ def build_s3_times_z2_tower(depth: int, *, order_guard: int | None = None) -> tu
         for k in range(1, depth + 1)
     ]
     # (s, x) -> (s, x mod 2^k) down the tower, (s, x) -> (1, 2x) at each level
-    x = [np.arange(2**k, dtype=np.int32) for k in range(1, depth + 1)]
+    x = [np.arange(2**k, dtype=np.intp) for k in range(1, depth + 1)]
     connecting = [
         GroupHom(levels[k + 1], levels[k], pair_map(np.arange(6), x[k + 1] % x[k].size, x[k].size), validate=False)
         for k in range(depth - 1)
     ]
     endos = [
-        GroupHom(G, G, pair_map(np.zeros(6, dtype=np.int32), 2 * x[k] % x[k].size), validate=False)
+        GroupHom(G, G, pair_map(np.zeros(6, dtype=np.intp), 2 * x[k] % x[k].size), validate=False)
         for k, G in enumerate(levels)
     ]
     tower = Tower(tuple(levels), tuple(connecting), "s3_times_z2")

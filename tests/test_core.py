@@ -36,6 +36,7 @@ from pfg.core import (
     build_from_table,
     closure,
     compose,
+    conjugation_hom,
     hom_parts,
     identity_hom,
     is_normal,
@@ -45,6 +46,7 @@ from pfg.core import (
     preimage,
     quotient,
     subgroup_as_group,
+    trivial_hom,
     trivial_subgroup,
     whole_subgroup,
 )
@@ -343,6 +345,75 @@ class TestInt16Tables:
         j = np.arange(5000)
         for i in (0, 1, 2499, 4999):
             assert np.array_equal(G.table[i], (i + j) % 5000)
+
+
+def _assert_intp(*arrays):
+    for arr in arrays:
+        assert arr.dtype == np.intp, arr.dtype
+
+
+def _assert_intp_maps(*homs):
+    _assert_intp(*(f.map for f in homs))
+
+
+class TestIntpElementArrays:
+    """Every element array used as an index (maps, members, powers, action
+    tables) is intp, the index type of a NumPy gather."""
+
+    def test_constructors(self):
+        from pfg.catalog import alternating4, heisenberg3, paper_example_level, power_endo, quaternion8
+        from pfg.construct import multiplication_action, pair_map, trivial_action, units_residues
+
+        groups = [cyclic(12), units_mod(3, 3), direct_product(cyclic(4), units_mod(5, 2)), build_from_table(z4_table())]
+        groups.append(quaternion8())
+        given = semidirect(cyclic(5), cyclic(4), [[0, 1, 2, 3, 4], [0, 2, 4, 1, 3], [0, 4, 3, 2, 1], [0, 3, 1, 4, 2]])
+        for sd in (dihedral(9), unit_semidirect_level(3, 4), paper_example_level(2, 6)[0], alternating4(), heisenberg3(), given):
+            groups.append(sd.group)
+            _assert_intp(sd.action, sd.normal_part.members, sd.acting_part.members)
+        for G in groups:
+            _assert_intp(whole_subgroup(G).members, trivial_subgroup(G).members, closure(G, [1 % G.order]).members)
+            _assert_intp_maps(identity_hom(G), trivial_hom(G), conjugation_hom(G, G.order - 1))
+        _assert_intp_maps(power_endo(cyclic(12), 5))
+        N, H = cyclic(9), units_mod(3, 2)
+        _assert_intp(trivial_action(N, H), inversion_action(N, cyclic(2)), multiplication_action(N, H, units_residues(3, 2)))
+        _assert_intp(scale_first_map(cyclic(9), 3), pair_map(np.arange(3), np.arange(2)))
+
+    def test_tower_builders(self):
+        from pfg.tower import build_tower
+
+        zp = build_tower("zp", (2,), 3)
+        cases = [zp, build_tower("zpn", (3, 2), 3), build_tower("units_semidirect", (3,), 3)]
+        cases += [build_tower("s3_times_z2", (), 3), build_tower("product", (zp, build_tower("zp", (3,), 3)), 3)]
+        for tower, family in cases:
+            _assert_intp_maps(*tower.connecting, *family.endos)
+
+    def test_quotient_subgroup_as_group_and_hom_parts(self):
+        from pfg.catalog import builtin_entries, random_endo
+
+        rng = np.random.default_rng(5)
+        for entry in builtin_entries(100):
+            G = entry.group
+            for N in (trivial_subgroup(G), whole_subgroup(G), closure(G, [G.order - 1])):
+                if is_normal(G, N):
+                    _assert_intp_maps(quotient(G, N)[1])
+                _assert_intp_maps(subgroup_as_group(G, N)[1])
+            f = random_endo(entry, rng)
+            parts = hom_parts(f)
+            _assert_intp_maps(f, compose(f, f))
+            _assert_intp(parts.kernel.members, parts.image.members)
+
+    def test_contraction_reports(self):
+        from pfg.catalog import paper_example_level
+        from pfg.endo import EndoSemigroup, contraction, semigroup_contraction
+
+        sd, phi = paper_example_level(3, 2)
+        G = sd.group
+        single = contraction(phi)
+        S = EndoSemigroup(G, [phi, conjugation_hom(G, int(sd.acting_part.members[1]))])
+        for rep in (single, semigroup_contraction(EndoSemigroup(G, [phi])), semigroup_contraction(S, sd.normal_part)):
+            _assert_intp(*rep.powers, rep.con.members, rep.stable_image.members)
+            _assert_intp(*(s.members for s in rep.kernel_chain + rep.image_chain))
+        _assert_intp(*EndoSemigroup(G, [phi]).monoid_maps())
 
 
 class TestPairTable:
@@ -668,6 +739,12 @@ class TestClosure:
         with pytest.raises(GroupError):
             Subgroup(G, [0, 1])  # not closed: 1+1=2 missing
 
+    def test_member_indices_of_any_integer_type_or_none(self):
+        G = cyclic(4)
+        assert Subgroup(G, np.array([0, 2], dtype=np.int16)).members.dtype == np.intp
+        with pytest.raises(GroupError, match="identity"):
+            Subgroup(G, [])
+
     def test_subgroup_does_not_alias_a_writable_bool_array(self):
         G = cyclic(4)
         bools = np.array([True, False, True, False])
@@ -862,6 +939,23 @@ class TestHoms:
                 GroupHom(G, G, bad)
             x, y = exc.value.witness
             assert bad[G.table[x, y]] != G.table[bad[x], bad[y]]
+
+    @pytest.mark.parametrize("mapping", [np.array([0, 2**32 + 1]), [0, 2**31], [0, 2**70]])
+    def test_wide_images_are_range_checked_before_conversion(self, mapping):
+        """An int64 2**32 + 1 would wrap round to 1 in int32, and a Python int
+        past int32 would not convert at all; both are out of range."""
+        Z2 = cyclic(2)
+        with pytest.raises(ParamOutOfRange):
+            GroupHom(Z2, Z2, mapping)
+
+    def test_writable_map_is_copied_and_a_read_only_one_shared(self):
+        G = cyclic(4)
+        given = np.arange(4)
+        f = GroupHom(G, G, given)
+        given[1] = 3
+        assert f.map.tolist() == [0, 1, 2, 3] and not f.map.flags.writeable
+        assert given.flags.writeable
+        assert np.shares_memory(GroupHom(G, G, f.map).map, f.map)
 
     def test_trivial_domain_must_hit_identity(self):
         with pytest.raises(NotAHomomorphism) as exc:

@@ -201,10 +201,11 @@ class TestFewprimes:
 
     def test_identity_on_order_4374_level_stays_small(self):
         """The core of an automorphism's image is G and O^pi is trivial, so
-        both quotients have order 4374.  The core and the quotient tables
-        are gathered in O(n * |gens|) and row blocks: the traced peak is the
-        two dense quotient tables, 73 MiB, where an n x n conjugate matrix
-        alone took 803 MiB."""
+        both quotients have order 4374.  The core is gathered in O(n * |gens|),
+        and a trivial O^pi gives G itself with the identity projection, so
+        the factored table is never copied: the traced peak is about 1 MiB,
+        where the two dense quotient tables took 73 MiB and an n x n
+        conjugate matrix 803 MiB."""
         import tracemalloc
 
         from pfg.dsl import parse, validate
@@ -228,7 +229,7 @@ class TestFewprimes:
             b'"quotient_orders":[4374,4374]},"kind":"fewprimes","ms":0,"status":"pass",'
             b'"target":"f, {2, 3}"}],"scenario":"scenario","seed":0,"version":"0.1.0"}\n'
         )
-        assert peak < 100 * 2**20, peak
+        assert peak < 8 * 2**20, peak
 
 
 class TestRegulation:

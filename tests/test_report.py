@@ -1,6 +1,9 @@
 """Runner semantics, emit formats, determinism, CLI exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
 from pathlib import Path
 
@@ -153,6 +156,16 @@ class TestCli:
         assert main(["run", str(f), "--format", "json", "--out", str(out)]) == 0
         tree = json.loads(out.read_text())
         assert tree["analyses"][0]["kind"] == "contraction"
+
+    def test_module_runs_the_command_line(self):
+        """``python -m pfg`` is the ``pfg`` command, with the package found on
+        PYTHONPATH alone."""
+        import pfg
+
+        env = {**os.environ, "PYTHONPATH": str(Path(pfg.__file__).resolve().parents[1])}
+        done = subprocess.run([sys.executable, "-m", "pfg", "--version"], capture_output=True, text=True, env=env, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == f"pfg {pfg.__version__}"
 
     def test_failing_record_exit_one(self):
         report = Report("x", (AnalysisRecord("k", "t", "fail", {}, 0.0),), "0", 0)

@@ -4,21 +4,24 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pfg import endo
-from pfg.catalog import builtin_entries, paper_example_level
+from pfg.catalog import builtin_entries, paper_example_level, random_endo, random_subgroup
 from pfg.construct import cyclic, dihedral, direct_product
 from pfg.core import (
     GroupHom,
     Subgroup,
     closure,
     conjugation_hom,
+    hom_parts,
     identity_hom,
     is_normal,
     subgroup_as_group,
     trivial_hom,
 )
 from pfg.endo import (
+    MAP_CAP,
     EndoSemigroup,
     KNotSubgroup,
     o_lambda,
@@ -235,3 +238,127 @@ class TestConlemSurrogates:
                     lhs = np.zeros(G.order, dtype=bool)
                     lhs[np.unique(lam.map[con.members])] = True
                     assert not bool(((con.bools & img) & ~lhs).any())
+
+
+def _whole_map_filter_contraction(maps, k_bools):
+    """Oracle: the filter-of-tails definition with every composite s after
+    xi formed whole and named by all n of its values (m^2 * n entries)."""
+    n = maps[0].shape[0]
+    key_of = {m.tobytes(): m for m in maps}
+    tail_keys = None
+    stack = np.stack(maps)
+    for xi in maps:
+        composed = stack[:, xi]  # rows: every (map after xi)
+        keys = {composed[i].tobytes() for i in range(composed.shape[0])}
+        tail_keys = keys if tail_keys is None else (tail_keys & keys)
+        if not tail_keys:
+            break
+    nonempty = bool(tail_keys)
+    con = np.ones(n, dtype=bool)
+    for key in tail_keys or ():
+        con &= k_bools[key_of[key]]
+    img_meet = np.ones(n, dtype=bool)
+    for m in maps:
+        hit = np.zeros(n, dtype=bool)
+        hit[m] = True
+        img_meet &= hit
+    return con, img_meet, nonempty
+
+
+def _assert_oracles_agree(maps, k_bools):
+    got = endo._literal_filter_contraction(maps, k_bools)
+    want = _whole_map_filter_contraction(maps, k_bools)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1]) and got[2] == want[2]
+
+
+def _separates(rows, points):
+    names = {r[points].tobytes() for r in rows}
+    return len(names) == len(rows)
+
+
+def _catalog_maps():
+    """The maps of every catalog semigroup up to order 500, with the trivial K
+    and K the image of the first generator, and some larger monoids:
+    multiplications on cyclic groups, one of them with a tail."""
+    for entry in builtin_entries(500):
+        G = entry.group
+        for S in entry.semigroups:
+            maps = S.monoid_maps()
+            yield maps, np.arange(G.order) == 0
+            yield maps, hom_parts(S.generators[0]).image.bools
+    for n, r in ((101, 2), (97, 5), (2**4 * 3**3, 6), (125, 7)):
+        maps = endo._monoid_maps([np.arange(n) * r % n], MAP_CAP)
+        yield maps, np.arange(n) % 5 == 0
+
+
+class TestLiteralOracle:
+    def test_matches_whole_map_oracle_on_catalog(self):
+        for maps, k_bools in _catalog_maps():
+            _assert_oracles_agree(maps, k_bools)
+
+    def test_matches_whole_map_oracle_one_composite_block_at_a_time(self, monkeypatch):
+        monkeypatch.setattr(endo, "_COMPOSE_BLOCK", 1)
+        for maps, k_bools in _catalog_maps():
+            _assert_oracles_agree(maps, k_bools)
+
+    def test_points_separate_the_maps(self):
+        """The maps come as distinct read-only rows in the order of their
+        bytes; the points tell every two apart, and the last point is needed."""
+        sizes = set()
+        for maps, _ in _catalog_maps():
+            keys = [r.tobytes() for r in maps]
+            assert keys == sorted(set(keys)) and not maps.flags.writeable
+            points = endo._separating_points(maps)
+            assert _separates(maps, points)
+            if len(maps) > 1:
+                assert not _separates(maps, points[:-1])
+            sizes.add(len(maps))
+        assert {1, 2, 100} <= sizes
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    entry=st.sampled_from(builtin_entries(100)),
+    seed=st.integers(0, 2**32 - 1),
+    exponents=st.lists(st.integers(1, 4), min_size=1, max_size=3),
+)
+def test_literal_oracle_matches_whole_map_oracle_on_commuting_maps(entry, seed, exponents):
+    """Maps that commute: powers of one random endomorphism, and on an
+    abelian group a power map x -> x^e as well."""
+    from pfg.catalog import power_endo
+
+    rng = np.random.default_rng(seed)
+    G = entry.group
+    base = random_endo(entry, rng).map
+    gens = []
+    for e in exponents:
+        f = np.arange(G.order)
+        for _ in range(e):
+            f = base[f]
+        gens.append(f)
+    if G.is_abelian():
+        gens.append(power_endo(G, int(rng.integers(0, 6))).map)
+    for a in gens:
+        for b in gens:
+            assert np.array_equal(a[b], b[a])
+    maps = endo._monoid_maps(gens, MAP_CAP)
+    image = hom_parts(GroupHom(G, G, gens[0], validate=False)).image
+    for k_bools in (np.arange(G.order) == 0, random_subgroup(G, rng).bools, image.bools):
+        _assert_oracles_agree(maps, k_bools)
+
+
+def test_map_cap_semigroup_holds_each_map_once():
+    """x -> 3x on Z/4999 generates more than MAP_CAP maps, so the monoid
+    walk stops at 4096 maps of 4999 entries and the literal oracle does not
+    run.  Each map is held once, as its key bytes: 156 MiB traced, where
+    holding each map also as an array of intp took 313 MiB."""
+    G = cyclic(4999)
+    S = EndoSemigroup(G, [GroupHom(G, G, np.arange(4999) * 3 % 4999)])
+    tracemalloc.start()
+    try:
+        rec = verify_splitthm(G, S)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rec.passed and not rec.data["oracle"]["oracle_ran"]
+    assert peak <= 157 * 2**20, peak
